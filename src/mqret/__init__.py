@@ -41,13 +41,10 @@ from .rates import (
     Dipole,
     Mediator,
     RateResult,
-    coupling_tensor_F,
     forster_vacuum,
     gamma0,
     gamma_trans_qd,
     gamma_xx_mirror,
-    matrix_element_direct,
-    matrix_element_indirect,
     rate_colinear_approx,
     rate_isotropic,
     rate_oriented,

@@ -32,7 +32,6 @@ class SimulationConfig:
     alpha: float                  # SI polarizability, C^2 m^2 / J
     d_donor: float                # C*m
     d_acceptor: float             # C*m
-    normalized_only: bool
     method: str                   # auto | limits | exact
     quad_rtol: float
     clip_radius: float            # lambda_D units, for 2-D maps
@@ -107,11 +106,9 @@ def parse_config(data):
     dip = data.get("dipoles", "normalized")
     if dip == "normalized":
         d_donor = d_acceptor = DEBYE
-        normalized_only = True
     else:
         d_donor = float(_require(dip, "donor_debye", "dipoles")) * DEBYE
         d_acceptor = float(_require(dip, "acceptor_debye", "dipoles")) * DEBYE
-        normalized_only = False
         if d_donor <= 0 or d_acceptor <= 0:
             raise ConfigError("dipole magnitudes must be positive")
 
@@ -130,7 +127,6 @@ def parse_config(data):
         alpha=alpha,
         d_donor=d_donor,
         d_acceptor=d_acceptor,
-        normalized_only=normalized_only,
         method=method,
         quad_rtol=float(data.get("quad_rtol", 1e-9)),
         clip_radius=float(data.get("clip_radius", 0.15)),

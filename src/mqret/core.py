@@ -42,14 +42,6 @@ def vec3(x, y, z):
     return v
 
 
-def cvec3(x, y, z):
-    """Complex 3-vector (e.g. dipole moments in C*m)."""
-    v = np.array([x, y, z], dtype=complex)
-    if not np.all(np.isfinite(v)):
-        raise ValueError("vector components must be finite")
-    return v
-
-
 def outer(a, b):
     """Dyadic product (a ⊗ b)_ij = a_i b_j."""
     return np.outer(np.asarray(a), np.asarray(b))

@@ -19,8 +19,6 @@ from scipy.special import j0, j1, jn
 
 from .core import C, IDENTITY, GeometryError, outer
 from .media import (
-    Constant,
-    DrudeLorentz,
     PerfectReflector,
     fresnel,
     permittivity,
@@ -127,8 +125,7 @@ def limit_reflection(env_or_material, omega):
         obj = obj.material
     if isinstance(obj, PerfectReflector):
         return 1.0 + 0j, -1.0 + 0j
-    eps = permittivity(obj, omega) if isinstance(obj, (Constant, DrudeLorentz)) \
-        else complex(obj)
+    eps = permittivity(obj, omega)
     return r_nonretarded(eps), r_retarded(eps)
 
 
@@ -183,10 +180,7 @@ def mirror_scatter_exact(r, r_prime, omega):
 def _reflection_callable(material, omega):
     if isinstance(material, PerfectReflector):
         return lambda k_par: fresnel(material, k_par, omega)
-    if isinstance(material, (Constant, DrudeLorentz)):
-        eps = permittivity(material, omega)
-    else:
-        eps = complex(material)
+    eps = permittivity(material, omega)
     if eps.imag == 0.0:
         eps = eps + _LOSSLESS_NUDGE  # passivity-consistent branch-point regularisation
     return lambda k_par: fresnel(eps, k_par, omega)

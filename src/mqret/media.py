@@ -7,6 +7,7 @@ r_p(k_par -> 0) = -r_retarded(eps) and r_s(k_par -> 0) = +r_retarded(eps).
 """
 
 from dataclasses import dataclass
+from numbers import Number
 
 import numpy as np
 
@@ -45,7 +46,10 @@ class PerfectReflector:
 
 
 def permittivity(model, omega):
-    """Complex relative permittivity of a material model at frequency omega."""
+    """Complex relative permittivity of a material model at frequency omega.
+
+    A bare number is taken as a frequency-independent permittivity.
+    """
     if isinstance(model, PerfectReflector):
         raise SymbolicMaterialError(
             "perfect reflector is symbolic; no numeric permittivity"
@@ -56,6 +60,8 @@ def permittivity(model, omega):
         return 1.0 + model.omega_p**2 / (
             model.omega_0**2 - omega**2 - 1j * model.gamma * omega
         )
+    if isinstance(model, Number):
+        return complex(model)
     raise TypeError(f"unknown permittivity model {model!r}")
 
 
@@ -88,10 +94,7 @@ def fresnel(material, k_par, omega):
     if isinstance(material, PerfectReflector):
         shape = np.shape(k_par)
         return (np.full(shape, -1.0 + 0j), np.full(shape, 1.0 + 0j))
-    if isinstance(material, (Constant, DrudeLorentz)):
-        eps = permittivity(material, omega)
-    else:
-        eps = complex(material)
+    eps = permittivity(material, omega)
     k_par = np.asarray(k_par, dtype=float)
     k1sq = (omega / C) ** 2
     kz1 = sqrt_im_pos(k1sq - k_par**2)

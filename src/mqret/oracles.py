@@ -11,8 +11,13 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import quad, simpson
 
-from .core import C, TINY
-from .greens import _angular_components, _reflection_callable, mirror_scatter_exact
+from .core import C, TINY, dyadic_reciprocity_defect
+from .greens import (
+    _angular_components,
+    _assemble,
+    _reflection_callable,
+    mirror_scatter_exact,
+)
 from .media import PerfectReflector
 
 
@@ -183,19 +188,7 @@ def sommerfeld_reference(r, r_prime, omega, material, n_base=3001):
         float(np.abs(fine).max()), TINY
     )
 
-    g = np.array(
-        [
-            [fine[0], 0.0, fine[3]],
-            [0.0, fine[1], 0.0],
-            [fine[4], 0.0, fine[2]],
-        ],
-        dtype=complex,
-    )
-    if phi0 != 0.0:
-        cp, sp = np.cos(phi0), np.sin(phi0)
-        rot = np.array([[cp, -sp, 0.0], [sp, cp, 0.0], [0.0, 0.0, 1.0]])
-        g = rot @ g @ rot.T
-    return g, err
+    return _assemble(fine, phi0), err
 
 
 # --- limit scans -------------------------------------------------------------
@@ -223,9 +216,10 @@ def limit_scan(evaluator, limit, scales, name="limit-scan", tolerance=0.0):
 
 def run_verification(omega=None):
     """Run the oracle suite; returns a list of OracleReports."""
-    from .greens import halfspace_scatter_full, halfspace_scatter_nr, \
-        halfspace_scatter_r, vacuum_bulk_exact, vacuum_bulk_nr, vacuum_bulk_r
-    from .media import Constant
+    from .greens import HalfSpace, PerfectMirror, green_total, \
+        halfspace_scatter_full, halfspace_scatter_nr, halfspace_scatter_r, \
+        vacuum_bulk_exact, vacuum_bulk_nr, vacuum_bulk_r
+    from .media import Constant, DrudeLorentz
 
     if omega is None:
         omega = 2.0 * np.pi * C / 1e-6
@@ -278,6 +272,24 @@ def run_verification(omega=None):
         inputs={"points": 5},
         reference=0.0, value=worst, rel_error=worst,
         tolerance=1.0, passed=worst < 1.0,  # within combined error bars
+    ))
+
+    # reciprocity G(r, r') = G(r', r)^T of the exact total tensors
+    metal = DrudeLorentz(omega_p=2.5 * omega, omega_0=0.0, gamma=0.2 * omega)
+    worst = 0.0
+    for env in (HalfSpace(Constant(2.25)), HalfSpace(metal), PerfectMirror()):
+        for _ in range(3):
+            r = np.array([rng.uniform(-1, 1), rng.uniform(-1, 1),
+                          rng.uniform(0.1, 1.5)]) * lam
+            rp = np.array([rng.uniform(-1, 1), rng.uniform(-1, 1),
+                           rng.uniform(0.1, 1.5)]) * lam
+            worst = max(worst, dyadic_reciprocity_defect(
+                green_total(env, r, rp, omega), green_total(env, rp, r, omega)))
+    reports.append(OracleReport(
+        name="reciprocity",
+        inputs={"environments": 3, "pairs": 3},
+        reference=0.0, value=worst, rel_error=worst,
+        tolerance=1e-10, passed=worst < 1e-10,
     ))
 
     # near-zone scan of the vacuum bulk tensor

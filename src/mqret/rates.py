@@ -1,14 +1,17 @@
 """Resonance energy transfer rates.
 
-Oriented matrix elements and the master three-body rate, the isotropically
-averaged rate, the colinear near/far-zone closed form, and the two-body
-reference formulas used for normalization and consistency checks.
+One geometry gives three tensors, G_AD, G_AM and G_MD, built once per rate
+by ``_coupling``; they form the coupling tensor
+F = G_AD + mu0 w^2 alpha G_AM G_MD. The oriented rate, the isotropically
+averaged rate and the mediator-free reference rate Gamma_0 are projections
+of those tensors. The module also holds the colinear near/far-zone closed
+form and the two-body reference formulas used for consistency checks.
 
-The "limits" method assembles the coupling tensor from the quasi-static
-(phase-free) near-zone tensor on the donor-acceptor leg and the far-zone
-tensors on both mediator legs, matching the approximation scheme behind the
-closed-form colinear rate. The "exact"/"auto" methods use the closed-form
-bulk tensor plus the image or Sommerfeld scattering tensor.
+The "limits" method takes the quasi-static (phase-free) near-zone tensor on
+the donor-acceptor leg and the far-zone tensors on both mediator legs,
+matching the approximation scheme behind the closed-form colinear rate. The
+"exact"/"auto" methods use the closed-form bulk tensor plus the image or
+Sommerfeld scattering tensor.
 """
 
 from dataclasses import dataclass
@@ -17,10 +20,8 @@ import numpy as np
 
 from .core import C, HBAR, MU0, EPS0, TINY, GeometryError, wavelength
 from .greens import (
-    Environment,
     HalfSpace,
     PerfectMirror,
-    Vacuum,
     green_bulk,
     green_scatter,
     limit_reflection,
@@ -75,38 +76,46 @@ def _check_heights(env, positions):
                 raise GeometryError("all bodies must satisfy z > 0 near a surface")
 
 
-def _green(env, r, r_prime, omega, method="auto", rtol=1e-9,
-           include_phase=True):
+def _green(env, r, r_prime, omega, method, rtol, include_phase=True):
     """Total tensor with a propagated quadrature error estimate."""
     gb = green_bulk(r, r_prime, omega, method=method, include_phase=include_phase)
     gs, err = green_scatter(env, r, r_prime, omega, method=method, rtol=rtol)
     return gb + gs, err
 
 
-# --- oriented pipeline -------------------------------------------------------
+def _coupling(env, r_a, r_d, omega, mediator=None, method="auto", rtol=1e-9,
+              include_phase=True):
+    """The tensors of one geometry: ``(G_AD, mu0 w^2 alpha G_AM G_MD, err)``.
 
-def matrix_element_direct(donor, acceptor, env, omega, method="auto", rtol=1e-9):
-    """Direct matrix element mu0 w^2 d_A* . G(r_A, r_D) . d_D (J)."""
-    _check_geometry([donor.position, acceptor.position], omega)
-    _check_heights(env, [donor.position, acceptor.position])
-    g, _ = _green(env, acceptor.position, donor.position, omega,
-                  method=method, rtol=rtol)
-    return MU0 * omega**2 * (np.conj(acceptor.moment) @ g @ donor.moment)
+    Their sum is the coupling tensor F(A, M, D); the mediated term is zero
+    without a mediator or at alpha = 0. ``method`` "limits" uses the
+    phase-free near-zone tensor for the direct leg and the far-zone tensors
+    for both mediator legs; "exact"/"auto"/"nr"/"r" use that tensor on every
+    leg, and ``include_phase`` applies to the direct leg only. ``err`` is
+    the sum of the leg error estimates. Reciprocity gives
+    F(D, M, A) = F(A, M, D)^T, so no rate needs the reversed legs.
+    """
+    if method == "limits":
+        direct, legs, include_phase = "nr", "r", False
+    elif method in ("auto", "exact", "nr", "r"):
+        direct = legs = method
+    else:
+        raise ValueError(f"unknown method {method!r}")
+    positions = [r_d, r_a]
+    alpha = 0.0
+    if mediator is not None:
+        positions.append(mediator.position)
+        alpha = polarizability(mediator.polarizability, omega / C)
+    _check_geometry(positions, omega)
+    _check_heights(env, positions)
 
-
-def matrix_element_indirect(donor, acceptor, mediator, env, omega,
-                            method="auto", rtol=1e-9):
-    """Mediated matrix element -mu0^2 w^4 d_A* . G alpha G . d_D (J)."""
-    _check_geometry([donor.position, acceptor.position, mediator.position], omega)
-    _check_heights(env, [donor.position, acceptor.position, mediator.position])
-    alpha = polarizability(mediator.polarizability, omega / C)
-    g_am, _ = _green(env, acceptor.position, mediator.position, omega,
-                     method=method, rtol=rtol)
-    g_md, _ = _green(env, mediator.position, donor.position, omega,
-                     method=method, rtol=rtol)
-    return -(MU0**2) * omega**4 * alpha * (
-        np.conj(acceptor.moment) @ (g_am @ g_md) @ donor.moment
-    )
+    g_ad, err = _green(env, r_a, r_d, omega, direct, rtol, include_phase)
+    if alpha == 0.0:
+        return g_ad, np.zeros((3, 3), dtype=complex), err
+    r_m = mediator.position
+    g_am, e_am = _green(env, r_a, r_m, omega, legs, rtol)
+    g_md, e_md = _green(env, r_m, r_d, omega, legs, rtol)
+    return g_ad, MU0 * omega**2 * alpha * (g_am @ g_md), err + e_am + e_md
 
 
 def rate_oriented(donor, acceptor, env, omega, mediator=None, method="auto",
@@ -115,72 +124,24 @@ def rate_oriented(donor, acceptor, env, omega, mediator=None, method="auto",
 
     Gamma = (2 pi mu0^2 w^4 / hbar) |d_A* . [G_AD + mu0 w^2 alpha G_AM G_MD]
     . d_D|^2; with no mediator this is the two-body rate. Normalization is
-    against the mediator-free rate computed through the same method.
+    against the mediator-free rate from the same G_AD.
     """
-    positions = [donor.position, acceptor.position]
-    if mediator is not None:
-        positions.append(mediator.position)
-    _check_geometry(positions, omega)
-    _check_heights(env, positions)
-
-    g_ad, e1 = _green(env, acceptor.position, donor.position, omega,
-                      method=method, rtol=rtol, include_phase=include_phase)
-    bracket = g_ad
-    err = e1
-    m_indirect = None
-    if mediator is not None:
-        alpha = polarizability(mediator.polarizability, omega / C)
-        g_am, e2 = _green(env, acceptor.position, mediator.position, omega,
-                          method=method, rtol=rtol)
-        g_md, e3 = _green(env, mediator.position, donor.position, omega,
-                          method=method, rtol=rtol)
-        bracket = bracket + MU0 * omega**2 * alpha * (g_am @ g_md)
-        err = err + e2 + e3
-        m_indirect = -(MU0**2) * omega**4 * alpha * (
-            np.conj(acceptor.moment) @ (g_am @ g_md) @ donor.moment
-        )
-
-    amp = np.conj(acceptor.moment) @ bracket @ donor.moment
+    g_ad, g_med, err = _coupling(env, acceptor.position, donor.position,
+                                 omega, mediator, method, rtol, include_phase)
+    d_a = np.conj(acceptor.moment)
+    amp0 = d_a @ g_ad @ donor.moment
+    amp_med = d_a @ g_med @ donor.moment
     pref = 2.0 * np.pi * MU0**2 * omega**4 / HBAR
-    gamma = pref * abs(amp) ** 2
-    amp0 = np.conj(acceptor.moment) @ g_ad @ donor.moment
+    gamma = pref * abs(amp0 + amp_med) ** 2
     gamma0_val = pref * abs(amp0) ** 2
     return RateResult(
         gamma=float(gamma),
         gamma_normalized=float(gamma / max(gamma0_val, TINY)),
         matrix_element_direct=complex(MU0 * omega**2 * amp0),
-        matrix_element_indirect=m_indirect,
+        matrix_element_indirect=(None if mediator is None
+                                 else complex(-MU0 * omega**2 * amp_med)),
         error_estimate=float(err),
     )
-
-
-# --- isotropic pipeline ------------------------------------------------------
-
-def coupling_tensor_F(r_a, r_m, r_d, env, omega, alpha, method="auto",
-                      rtol=1e-9):
-    """Coupling tensor F = G(r_A, r_D) + mu0 alpha w^2 G(r_A, r_M) G(r_M, r_D).
-
-    ``method`` "limits" uses the phase-free near-zone tensor for the direct
-    leg and the far-zone tensors for both mediator legs; "exact"/"auto" uses
-    the full tensors. Returns ``(F, error_estimate)``. Pass ``r_m=None`` or
-    ``alpha=0`` for the mediator-free tensor.
-    """
-    if method == "limits":
-        direct_method, leg_method, phase = "nr", "r", False
-    elif method in ("auto", "exact", "nr", "r"):
-        direct_method = leg_method = method
-        phase = True
-    else:
-        raise ValueError(f"unknown method {method!r}")
-
-    f, err = _green(env, r_a, r_d, omega, method=direct_method, rtol=rtol,
-                    include_phase=phase)
-    if r_m is not None and alpha != 0.0:
-        g_am, e2 = _green(env, r_a, r_m, omega, method=leg_method, rtol=rtol)
-        g_md, e3 = _green(env, r_m, r_d, omega, method=leg_method, rtol=rtol)
-        f = f + MU0 * alpha * omega**2 * (g_am @ g_md)
-        err = err + e2 + e3
-    return f, err
 
 
 def rate_isotropic(d_donor, d_acceptor, r_donor, r_acceptor, env, omega,
@@ -189,43 +150,23 @@ def rate_isotropic(d_donor, d_acceptor, r_donor, r_acceptor, env, omega,
 
     ``d_donor`` and ``d_acceptor`` are dipole magnitudes (C*m); the averaging
     rule consumes |d|^2 only. Gamma = (2 pi mu0^2 w^4 / 9 hbar) |d_A|^2
-    |d_D|^2 Tr[F(A,M,D) . F*(D,M,A)]; the trace is real by reciprocity, which
-    is asserted before the real part is returned.
+    |d_D|^2 Tr[F(A,M,D) . F*(D,M,A)], which reciprocity reduces to the
+    squared Frobenius norm of F(A,M,D); Gamma_0 is the same with G_AD alone.
+    The error estimate counts every leg twice, once per factor of the trace.
     """
     if d_donor <= 0.0 or d_acceptor <= 0.0:
         raise ValueError("dipole magnitudes must be positive")
-    positions = [r_donor, r_acceptor]
-    r_m, alpha = None, 0.0
-    if mediator is not None:
-        r_m = mediator.position
-        alpha = polarizability(mediator.polarizability, omega / C)
-        positions.append(r_m)
-    _check_geometry(positions, omega)
-    _check_heights(env, positions)
-
-    def trace_ff(a):
-        f1, e1 = coupling_tensor_F(r_acceptor, r_m, r_donor, env, omega, a,
-                                   method=method, rtol=rtol)
-        f2, e2 = coupling_tensor_F(r_donor, r_m, r_acceptor, env, omega, a,
-                                   method=method, rtol=rtol)
-        tr = np.trace(f1 @ np.conj(f2))
-        if abs(tr.imag) > 1e-8 * max(abs(tr), TINY):
-            raise RuntimeError(
-                "trace Tr[F F*] acquired a non-negligible imaginary part; "
-                "reciprocity violated beyond quadrature tolerance"
-            )
-        return tr.real, e1 + e2
-
-    tr, err = trace_ff(alpha)
-    tr0, _ = trace_ff(0.0)
+    g_ad, g_med, err = _coupling(env, r_acceptor, r_donor, omega, mediator,
+                                 method, rtol)
     pref = (2.0 * np.pi * MU0**2 * omega**4 / (9.0 * HBAR)
             * d_donor**2 * d_acceptor**2)
-    gamma = pref * tr
-    gamma0_val = pref * tr0
+    f = g_ad + g_med
+    gamma = pref * np.vdot(f, f).real
+    gamma0_val = pref * np.vdot(g_ad, g_ad).real
     return RateResult(
         gamma=float(gamma),
         gamma_normalized=float(gamma / max(gamma0_val, TINY)),
-        error_estimate=float(err),
+        error_estimate=float(2.0 * err),
     )
 
 

@@ -14,8 +14,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ConfigError, with_mediator_position
-from .core import TINY
-from .media import StaticScalar
+from .core import GeometryError, QuadratureError
+from .media import (
+    MediatorResonanceError,
+    StaticScalar,
+    SurfaceModeError,
+    SymbolicMaterialError,
+)
 from .rates import Mediator, rate_isotropic
 
 CSV_HEADER = ["x_m", "z_m", "gamma", "gamma_normalized", "method",
@@ -63,15 +68,13 @@ class RateRecord:
     flag: str = ""
 
 
-def _reference_rate(cfg, method):
-    res = rate_isotropic(cfg.d_donor, cfg.d_acceptor, cfg.donor, cfg.acceptor,
-                         cfg.environment, cfg.omega, mediator=None,
-                         method=method, rtol=cfg.quad_rtol)
-    return res.gamma
+# failures that belong to one point; anything else is a bug and aborts the sweep
+_ROW_ERRORS = (GeometryError, QuadratureError, ConfigError, SurfaceModeError,
+               MediatorResonanceError, SymbolicMaterialError)
 
 
 def _eval_point(args):
-    cfg, method, gamma_ref, x_lam, z_lam, flag = args
+    cfg, method, x_lam, z_lam, flag = args
     point_cfg = with_mediator_position(cfg, x_lam, z_lam)
     try:
         med = Mediator(point_cfg.mediator, StaticScalar(cfg.alpha))
@@ -80,10 +83,10 @@ def _eval_point(args):
                              mediator=med, method=method, rtol=cfg.quad_rtol)
         return RateRecord(
             x_m=x_lam, z_m=z_lam, gamma=res.gamma,
-            gamma_normalized=res.gamma / max(gamma_ref, TINY),
+            gamma_normalized=res.gamma_normalized,
             method=method, error_estimate=res.error_estimate, flag=flag,
         )
-    except Exception as exc:  # record in-row; the sweep continues
+    except _ROW_ERRORS as exc:  # record in-row; the sweep continues
         return RateRecord(
             x_m=x_lam, z_m=z_lam, gamma=float("nan"),
             gamma_normalized=float("nan"), method=method,
@@ -106,13 +109,12 @@ def sweep_1d(cfg, spec, workers=1):
     z_a = cfg.acceptor[2] / cfg.lambda_d
     tasks = []
     for method in spec.methods:
-        gamma_ref = _reference_rate(cfg, method)
         for z_lam in np.linspace(spec.z_min, spec.z_max, spec.steps):
             z_lam = float(z_lam)
             flag = ""
             if method == "limits" and z_lam - z_a < 1.0:
                 flag = "nr_guard"  # mediator closer than one wavelength
-            tasks.append((cfg, method, gamma_ref, 0.0, z_lam, flag))
+            tasks.append((cfg, method, 0.0, z_lam, flag))
     return _run(tasks, workers)
 
 
@@ -121,7 +123,6 @@ def sweep_2d(cfg, spec, workers=1):
     if not cfg.has_mediator:
         raise ConfigError("2-D sweep needs a mediator block in the config")
     method = "exact"
-    gamma_ref = _reference_rate(cfg, method)
     clip = cfg.clip_radius * cfg.lambda_d
     xs = np.linspace(spec.x_min, spec.x_max, spec.nx)
     zs = np.linspace(spec.z_min, spec.z_max, spec.nz)
@@ -134,8 +135,7 @@ def sweep_2d(cfg, spec, workers=1):
             if (np.linalg.norm(pos - cfg.donor) < clip
                     or np.linalg.norm(pos - cfg.acceptor) < clip):
                 flag = "clip"
-            tasks.append((cfg, method, gamma_ref, float(x_lam), float(z_lam),
-                          flag))
+            tasks.append((cfg, method, float(x_lam), float(z_lam), flag))
     records = _run(tasks, workers)
     # inside the clip radius keep the flag even when evaluation succeeded
     return records

@@ -212,7 +212,9 @@ def test_09_invariant_suite(tmp_path):
 
     # reciprocity across environments
     envs = [greens.Vacuum(), greens.PerfectMirror(),
-            greens.HalfSpace(media.Constant(2.25))]
+            greens.HalfSpace(media.Constant(2.25)),
+            greens.HalfSpace(media.Constant(2.0 + 0.5j)),
+            greens.HalfSpace(media.DrudeLorentz(2.5 * OMEGA, 0.0, 0.2 * OMEGA))]
     recip = 0.0
     for env in envs:
         for _ in range(5):

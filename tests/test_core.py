@@ -10,7 +10,7 @@ def test_constant_consistency():
 
 
 def test_debye_value():
-    assert core.DEBYE == pytest.approx(3.33564e-30, rel=1e-5)
+    assert core.DEBYE == pytest.approx(3.33564e-30, rel=1e-5, abs=0.0)
 
 
 def test_outer_basis():

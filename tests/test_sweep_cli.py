@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mqret import cli, config, greens, sweep
+from mqret.core import DEBYE
 from mqret.media import Constant, PerfectReflector
 
 
@@ -35,7 +36,7 @@ class TestConfig:
         assert cfg.donor[2] == pytest.approx(0.3e-6)
         assert cfg.has_mediator
         assert cfg.mediator is None  # position comes from the sweep
-        assert cfg.normalized_only
+        assert cfg.d_donor == cfg.d_acceptor == DEBYE  # "normalized" dipoles
 
     def test_parse_halfspace(self, tmp_path):
         p = write_config(tmp_path, {
@@ -57,8 +58,9 @@ class TestConfig:
         p = write_config(tmp_path, {"dipoles": {"donor_debye": 2.0,
                                                 "acceptor_debye": 0.5}})
         cfg = config.load_config(p)
-        assert not cfg.normalized_only
-        assert cfg.d_donor == pytest.approx(2.0 * 3.33564e-30, rel=1e-4)
+        assert cfg.d_donor == pytest.approx(2.0 * DEBYE, rel=1e-14, abs=0.0)
+        assert cfg.d_acceptor == pytest.approx(0.5 * DEBYE, rel=1e-14, abs=0.0)
+        assert cfg.d_donor == pytest.approx(2.0 * 3.33564e-30, rel=1e-4, abs=0.0)
 
     def test_missing_frequency(self, tmp_path):
         data = dict(BASE_CONFIG)
@@ -136,6 +138,16 @@ class TestSweep:
         assert recs[0].flag.startswith("error:")
         assert np.isnan(recs[0].gamma)
         assert np.isfinite(recs[-1].gamma)
+
+    def test_programming_errors_abort_the_sweep(self, tmp_path, monkeypatch):
+        """Only domain errors become error rows; a bug propagates."""
+        def broken(*args, **kwargs):
+            raise TypeError("bug")
+
+        monkeypatch.setattr(sweep, "rate_isotropic", broken)
+        cfg = config.load_config(write_config(tmp_path))
+        with pytest.raises(TypeError):
+            sweep.sweep_1d(cfg, sweep.OneDSweep(1.0, 2.0, 3))
 
     def test_worker_determinism(self, tmp_path):
         cfg = config.load_config(write_config(tmp_path))
