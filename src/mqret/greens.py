@@ -242,7 +242,10 @@ def halfspace_scatter_full(r, r_prime, omega, material, rtol=1e-9,
     analytically (J0/J1/J2 kernels). The propagating segment is parametrised
     as k_par = k sin(theta) and the evanescent one as k_par = k cosh(t),
     which removes the 1/k_z branch-point singularity analytically. The tail
-    is truncated where kappa (z+z') = 40.
+    is truncated where kappa (z+z') = 40. Both segments are integrated in
+    one adaptive call over s = theta on [0, pi/2] and s = pi/2 + t beyond,
+    with a panel boundary where they join; the tolerance applies to the
+    whole tensor.
 
     Returns ``(tensor, relative_error_estimate)``.
     """
@@ -260,30 +263,23 @@ def halfspace_scatter_full(r, r_prime, omega, material, rtol=1e-9,
     k1 = omega / C
     refl = _reflection_callable(material, omega)
     pref = 1j / (8.0 * np.pi**2)
+    half_pi = 0.5 * np.pi
 
-    def f_prop(theta):
-        k_par = k1 * np.sin(theta)
-        k_z = k1 * np.cos(theta)
-        jac = k1 * np.sin(theta)
+    def integrand(s):
+        prop = s < half_pi
+        t = s - half_pi
+        k_par = np.where(prop, k1 * np.sin(s), k1 * np.cosh(t))
+        k_z = np.where(prop, k1 * np.cos(s), 1j * k1 * np.sinh(t))
+        # contour jacobian k_par dk_par / k_z: k_par for theta, -i k_par for t
+        jac = np.where(prop, k_par, -1j * k_par)
         comps = _angular_components(k_par, k_z, k1, big_z, lateral, refl)
         return pref * jac[..., None] * comps
 
-    def f_evan(t):
-        k_par = k1 * np.cosh(t)
-        k_z = 1j * k1 * np.sinh(t)
-        jac = -1j * k1 * np.cosh(t)  # k_par dk_par / k_z in the t variable
-        comps = _angular_components(k_par, k_z, k1, big_z, lateral, refl)
-        return pref * jac[..., None] * comps
-
-    i_prop, e_prop = adaptive_quad_vec(
-        f_prop, 0.0, 0.5 * np.pi, rtol=rtol, max_panels=max_panels
-    )
     t_max = float(np.arcsinh(_EVANESCENT_DECADES / (k1 * big_z)))
-    i_evan, e_evan = adaptive_quad_vec(
-        f_evan, 0.0, t_max, rtol=rtol, max_panels=max_panels
+    comps, err = adaptive_quad_vec(
+        integrand, (0.0, half_pi), (half_pi, half_pi + t_max), rtol=rtol,
+        max_panels=max_panels,
     )
-    comps = i_prop + i_evan
-    err = e_prop + e_evan
     scale = max(float(np.abs(comps).max()), 1e-300)
     return _assemble(comps, phi0), float(err.max()) / scale
 

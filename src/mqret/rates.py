@@ -1,11 +1,12 @@
 """Resonance energy transfer rates.
 
-One geometry gives three tensors, G_AD, G_AM and G_MD, built once per rate
-by ``_coupling``; they form the coupling tensor
-F = G_AD + mu0 w^2 alpha G_AM G_MD. The oriented rate, the isotropically
-averaged rate and the mediator-free reference rate Gamma_0 are projections
-of those tensors. The module also holds the colinear near/far-zone closed
-form and the two-body reference formulas used for consistency checks.
+One geometry gives three tensors, G_AD, G_AM and G_MD, built by
+``_coupling``: G_AM and G_MD once per rate, G_AD once per donor-acceptor
+pair and process, since it does not depend on the mediator. They form the
+coupling tensor F = G_AD + mu0 w^2 alpha G_AM G_MD. The oriented rate, the
+isotropically averaged rate and the mediator-free reference rate Gamma_0 are
+projections of those tensors. The module also holds the colinear near/far-zone
+closed form and the two-body reference formulas used for consistency checks.
 
 The "limits" method takes the quasi-static (phase-free) near-zone tensor on
 the donor-acceptor leg and the far-zone tensors on both mediator legs,
@@ -15,6 +16,7 @@ Sommerfeld scattering tensor.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -83,6 +85,26 @@ def _green(env, r, r_prime, omega, method, rtol, include_phase=True):
     return gb + gs, err
 
 
+@lru_cache(maxsize=8)
+def _direct_leg(env, r_a, r_d, omega, method, rtol, include_phase):
+    """G_AD from hashable arguments, memoised so that a sweep over mediator
+    positions evaluates it once per donor-acceptor pair and process.
+
+    The key is everything the tensor depends on, and the tensor is computed
+    from the key alone, so a hit returns exactly what a fresh evaluation
+    would. The cached tensor is read-only because every hit shares it.
+    """
+    g, err = _green(env, np.array(r_a), np.array(r_d), omega, method, rtol,
+                    include_phase)
+    g.flags.writeable = False
+    return g, err
+
+
+def _point_key(r):
+    # adding 0.0 maps -0.0 to 0.0, which the key already treats as equal
+    return tuple((np.asarray(r, dtype=float) + 0.0).tolist())
+
+
 def _coupling(env, r_a, r_d, omega, mediator=None, method="auto", rtol=1e-9,
               include_phase=True):
     """The tensors of one geometry: ``(G_AD, mu0 w^2 alpha G_AM G_MD, err)``.
@@ -93,7 +115,8 @@ def _coupling(env, r_a, r_d, omega, mediator=None, method="auto", rtol=1e-9,
     for both mediator legs; "exact"/"auto"/"nr"/"r" use that tensor on every
     leg, and ``include_phase`` applies to the direct leg only. ``err`` is
     the sum of the leg error estimates. Reciprocity gives
-    F(D, M, A) = F(A, M, D)^T, so no rate needs the reversed legs.
+    F(D, M, A) = F(A, M, D)^T, so no rate needs the reversed legs. G_AD
+    comes from the ``_direct_leg`` memo; the returned G_AD is read-only.
     """
     if method == "limits":
         direct, legs, include_phase = "nr", "r", False
@@ -109,7 +132,9 @@ def _coupling(env, r_a, r_d, omega, mediator=None, method="auto", rtol=1e-9,
     _check_geometry(positions, omega)
     _check_heights(env, positions)
 
-    g_ad, err = _green(env, r_a, r_d, omega, direct, rtol, include_phase)
+    g_ad, err = _direct_leg(env, _point_key(r_a), _point_key(r_d),
+                            float(omega), direct, float(rtol),
+                            bool(include_phase))
     if alpha == 0.0:
         return g_ad, np.zeros((3, 3), dtype=complex), err
     r_m = mediator.position

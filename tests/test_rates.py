@@ -202,6 +202,47 @@ class TestCouplingTensors:
         assert iso.gamma == pytest.approx(total / 9.0, rel=1e-12, abs=0.0)
 
 
+class TestDirectLegMemo:
+    """G_AD is memoised per donor-acceptor pair; a hit must equal a fresh
+    evaluation and a changed input must never hit."""
+
+    R_D, R_A, R_M = (np.array([0.1, 0.0, 0.05]) * LAM,
+                     np.array([-0.05, 0.1, 0.12]) * LAM,
+                     np.array([0.8, -0.2, 0.9]) * LAM)
+
+    def rate(self, r_d, rtol):
+        med = rates.Mediator(self.R_M, media.StaticScalar(ALPHA))
+        return rates.rate_isotropic(D1, D1, r_d, self.R_A, DIELECTRIC, OMEGA,
+                                    mediator=med, method="exact", rtol=rtol)
+
+    def test_no_stale_hits(self, monkeypatch):
+        full = greens.halfspace_scatter_full
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[:2])
+            return full(*args, **kwargs)
+
+        monkeypatch.setattr(greens, "halfspace_scatter_full", counting)
+        rates._direct_leg.cache_clear()
+        first = self.rate(self.R_D, 1e-9)
+        assert len(calls) == 3
+        assert self.rate(self.R_D, 1e-9) == first  # hit: G_AM, G_MD only
+        assert len(calls) == 5
+        moved = self.R_D + np.array([0.01, 0.0, 0.0]) * LAM
+        for r_d, rtol in ((moved, 1e-9), (self.R_D, 1e-10)):
+            before = len(calls)
+            got = self.rate(r_d, rtol)
+            assert len(calls) - before == 3
+            rates._direct_leg.cache_clear()
+            assert got == self.rate(r_d, rtol)
+
+    def test_cached_tensor_is_read_only(self):
+        g_ad = rates._coupling(DIELECTRIC, self.R_A, self.R_D, OMEGA)[0]
+        with pytest.raises(ValueError):
+            g_ad[0, 0] = 0.0
+
+
 class TestGuards:
     def test_min_separation(self):
         with pytest.raises(GeometryError):

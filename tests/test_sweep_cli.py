@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from mqret import cli, config, greens, sweep
+from mqret import cli, config, greens, rates, sweep
 from mqret.core import DEBYE
 from mqret.media import Constant, PerfectReflector
 
@@ -17,6 +17,9 @@ BASE_CONFIG = {
     "dipoles": "normalized",
     "method": "limits",
 }
+DIELECTRIC = {"environment": {"type": "halfspace",
+                              "permittivity": {"type": "constant",
+                                               "value": 2.25}}}
 
 
 def write_config(tmp_path, overrides=None, name="cfg.json"):
@@ -158,6 +161,38 @@ class TestSweep:
         sweep.emit(r1, "csv", str(p1), metadata={"k": "v"})
         sweep.emit(r3, "csv", str(p3), metadata={"k": "v"})
         assert p1.read_bytes() == p3.read_bytes()
+
+    def test_direct_leg_once_per_pair(self, tmp_path, monkeypatch):
+        """A map evaluates G_AD once, then G_AM and G_MD for each row."""
+        full = greens.halfspace_scatter_full
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[:2])
+            return full(*args, **kwargs)
+
+        monkeypatch.setattr(greens, "halfspace_scatter_full", counting)
+        rates._direct_leg.cache_clear()
+        cfg = config.load_config(write_config(tmp_path, DIELECTRIC))
+        spec = sweep.TwoDSweep(-1.0, 1.0, 1.0, 2.0, 3, 2)
+        recs = sweep.sweep_2d(cfg, spec, workers=1)
+        assert all(np.isfinite(r.gamma) for r in recs)
+        assert len(calls) == 1 + 2 * len(recs)
+
+    def test_map_worker_determinism(self, tmp_path):
+        """Map CSVs are byte-identical whatever the worker count, although
+        each worker process keeps its own G_AD memo."""
+        p = write_config(tmp_path, DIELECTRIC)
+        outs = []
+        for workers in (1, 2, 3):
+            out = tmp_path / f"map-w{workers}.csv"
+            rc = cli.main(["map", "--config", p, "--xmin", "-1.0", "--xmax",
+                           "1.0", "--zmin", "0.6", "--zmax", "2.0", "--nx",
+                           "4", "--nz", "3", "--out", str(out), "--workers",
+                           str(workers)])
+            assert rc == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1] == outs[2]
 
     def test_csv_roundtrip(self, tmp_path):
         cfg = config.load_config(write_config(tmp_path))
