@@ -18,7 +18,6 @@ from .config import load_config
 from .core import angular_frequency
 from .greens import HalfSpace, PerfectMirror, Vacuum, green_total
 from .media import Constant, PerfectReflector, StaticScalar
-from .oracles import run_verification
 from .rates import Mediator, rate_isotropic
 from .sweep import OneDSweep, TwoDSweep, emit, sweep_1d, sweep_2d
 
@@ -98,6 +97,10 @@ def _cmd_green(args):
 
 
 def _cmd_verify(args):
+    # imported here: the oracles pull in scipy.integrate, which no other
+    # command needs and which takes a third of the start-up time and memory
+    from .oracles import run_verification
+
     reports = run_verification()
     failures = 0
     for rep in reports:

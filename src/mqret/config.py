@@ -7,7 +7,7 @@ polarizability volume alpha / 4 pi eps0 in units of lambda_D^3.
 """
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -165,9 +165,3 @@ def load_config(path):
             f"column {exc.colno}): {exc.msg}"
         ) from exc
     return parse_config(data)
-
-
-def with_mediator_position(cfg, x_lam, z_lam):
-    """Copy of the config with the mediator moved to (x, z) in lambda_D units."""
-    pos = np.array([x_lam * cfg.lambda_d, 0.0, z_lam * cfg.lambda_d])
-    return replace(cfg, mediator=pos)

@@ -10,14 +10,18 @@ Conventions: the bulk tensor follows the quasi-static form
 (e^{ik rho}/4 pi rho)(I - e⊗e), which fixes the sign of the far-zone form.
 The scattering tensor of a half-space filling z < 0 is evaluated for both
 points in the vacuum region z > 0.
+
+Every tensor function takes points of shape (..., 3), broadcast against each
+other, and returns tensors of shape (..., 3, 3), one per geometry; the
+Sommerfeld evaluator integrates all geometries in one adaptive run.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import j0, j1, jn
+from scipy.special import j0, j1
 
-from .core import C, IDENTITY, GeometryError, outer
+from .core import C, IDENTITY, GeometryError
 from .media import (
     PerfectReflector,
     fresnel,
@@ -26,8 +30,9 @@ from .media import (
     r_retarded,
 )
 
-# mirror-image parity for a dipole above a perfect electric reflector
-_IMAGE_PARITY = np.diag([1.0, 1.0, -1.0])
+# mirror-image parity for a dipole above a perfect electric reflector: it
+# reflects a point and, on the right of a tensor, scales its columns
+_IMAGE_PARITY = np.array([1.0, 1.0, -1.0])
 
 # truncation of the evanescent Sommerfeld tail: kappa * (z + z') = 40
 _EVANESCENT_DECADES = 40.0
@@ -56,10 +61,19 @@ class PerfectMirror:
 Environment = Vacuum | HalfSpace | PerfectMirror
 
 
+def _outer(e):
+    return e[..., :, None] * e[..., None, :]
+
+
+def _tensor(scale):
+    """Per-geometry scalars as a factor broadcasting over 3x3 tensors."""
+    return np.asarray(scale)[..., None, None]
+
+
 def _separation(r, r_prime):
     rho_vec = np.asarray(r, dtype=float) - np.asarray(r_prime, dtype=float)
-    rho = float(np.linalg.norm(rho_vec))
-    if rho == 0.0:
+    rho = np.linalg.norm(rho_vec, axis=-1)
+    if np.any(rho == 0.0):
         raise GeometryError("bulk Green's tensor requires non-coincident points")
     return rho_vec, rho
 
@@ -70,20 +84,18 @@ def vacuum_bulk(rho_vec, omega):
     Accepts complex omega (used by the contour-identity oracle on the
     imaginary frequency axis).
     """
-    rho = np.linalg.norm(rho_vec)
-    if rho == 0.0:
-        raise GeometryError("bulk Green's tensor requires non-coincident points")
-    e = np.asarray(rho_vec) / rho
+    rho_vec, rho = _separation(rho_vec, 0.0)
+    e = rho_vec / rho[..., None]
     x = omega * rho / C
     pref = -(C**2) * np.exp(1j * x) / (4.0 * np.pi * omega**2 * rho**3)
-    return pref * ((1.0 - 1j * x - x**2) * IDENTITY
-                   - (3.0 - 3j * x - x**2) * outer(e, e))
+    return _tensor(pref) * (_tensor(1.0 - 1j * x - x**2) * IDENTITY
+                            - _tensor(3.0 - 3j * x - x**2) * _outer(e))
 
 
 def vacuum_bulk_exact(r, r_prime, omega):
     """Closed-form vacuum Green's tensor G0(r, r', omega)."""
-    rho_vec, _ = _separation(r, r_prime)
-    return vacuum_bulk(rho_vec, omega)
+    return vacuum_bulk(np.asarray(r, dtype=float) - np.asarray(r_prime, dtype=float),
+                       omega)
 
 
 def vacuum_bulk_nr(r, r_prime, omega, include_phase=True):
@@ -93,10 +105,10 @@ def vacuum_bulk_nr(r, r_prime, omega, include_phase=True):
     the purely quasi-static tensor used in the colinear closed-form rate.
     """
     rho_vec, rho = _separation(r, r_prime)
-    e = rho_vec / rho
+    e = rho_vec / rho[..., None]
     phase = np.exp(1j * omega * rho / C) if include_phase else 1.0
     pref = -(C**2) * phase / (4.0 * np.pi * omega**2 * rho**3)
-    return pref * (IDENTITY - 3.0 * outer(e, e))
+    return _tensor(pref) * (IDENTITY - 3.0 * _outer(e))
 
 
 def vacuum_bulk_r(r, r_prime, omega):
@@ -106,9 +118,9 @@ def vacuum_bulk_r(r, r_prime, omega):
     (e^{ik rho}/4 pi rho)(I - e⊗e).
     """
     rho_vec, rho = _separation(r, r_prime)
-    e = rho_vec / rho
-    return (np.exp(1j * omega * rho / C) / (4.0 * np.pi * rho)) * (
-        IDENTITY - outer(e, e)
+    e = rho_vec / rho[..., None]
+    return _tensor(np.exp(1j * omega * rho / C) / (4.0 * np.pi * rho)) * (
+        IDENTITY - _outer(e)
     )
 
 
@@ -129,14 +141,20 @@ def limit_reflection(env_or_material, omega):
     return r_nonretarded(eps), r_retarded(eps)
 
 
-def _on_axis_heights(r, r_prime):
+def _heights(r, r_prime):
+    """Both point arrays and their heights, which must be positive."""
     r = np.asarray(r, dtype=float)
     rp = np.asarray(r_prime, dtype=float)
-    z, zp = float(r[2]), float(rp[2])
-    if z <= 0.0 or zp <= 0.0:
+    z, zp = r[..., 2], rp[..., 2]
+    if np.any(z <= 0.0) or np.any(zp <= 0.0):
         raise GeometryError("both points must lie above the interface (z > 0)")
-    lateral = float(np.hypot(r[0] - rp[0], r[1] - rp[1]))
-    if lateral > 1e-9 * (z + zp):
+    return r, rp, z, zp
+
+
+def _on_axis_heights(r, r_prime):
+    r, rp, z, zp = _heights(r, r_prime)
+    lateral = np.hypot(r[..., 0] - rp[..., 0], r[..., 1] - rp[..., 1])
+    if np.any(lateral > 1e-9 * (z + zp)):
         raise GeometryError("analytic scattering limits hold on-axis only")
     return z, zp
 
@@ -146,7 +164,7 @@ def halfspace_scatter_nr(r, r_prime, omega, material):
     z, zp = _on_axis_heights(r, r_prime)
     r_nr, _ = limit_reflection(material, omega)
     pref = C**2 / (4.0 * np.pi * omega**2 * (z + zp) ** 3)
-    return pref * r_nr * np.diag([1.0, 1.0, 2.0])
+    return _tensor(pref) * r_nr * np.diag([1.0, 1.0, 2.0])
 
 
 def halfspace_scatter_r(r, r_prime, omega, material):
@@ -155,7 +173,7 @@ def halfspace_scatter_r(r, r_prime, omega, material):
     _, r_r = limit_reflection(material, omega)
     zz = z + zp
     pref = np.exp(1j * zz * omega / C) / (4.0 * np.pi * zz)
-    return pref * r_r * np.diag([1.0, 1.0, 0.0])
+    return _tensor(pref) * r_r * np.diag([1.0, 1.0, 0.0])
 
 
 # --- perfect mirror: image construction -------------------------------------
@@ -169,10 +187,9 @@ def mirror_scatter_exact(r, r_prime, omega):
     """
     r = np.asarray(r, dtype=float)
     rp = np.asarray(r_prime, dtype=float)
-    if r[2] <= 0.0 or rp[2] <= 0.0:
+    if np.any(r[..., 2] <= 0.0) or np.any(rp[..., 2] <= 0.0):
         raise GeometryError("both points must lie above the mirror (z > 0)")
-    image = np.array([rp[0], rp[1], -rp[2]])
-    return -vacuum_bulk(r - image, omega) @ _IMAGE_PARITY
+    return -vacuum_bulk(r - rp * _IMAGE_PARITY, omega) * _IMAGE_PARITY
 
 
 # --- half-space scattering: full Sommerfeld evaluation -----------------------
@@ -186,52 +203,48 @@ def _reflection_callable(material, omega):
     return lambda k_par: fresnel(eps, k_par, omega)
 
 
-def _angular_components(k_par, k_z, k1, big_z, lateral, refl):
+def _bessel_j012(x):
+    """J0, J1 and J2 of x >= 0, with J2 from the recurrence 2 J1(x)/x - J0(x)
+    (J2(0) = 0), several times cheaper than ``scipy.special.jn(2, x)``."""
+    b0, b1 = j0(x), j1(x)
+    positive = x > 0.0
+    return b0, b1, np.where(positive, 2.0 * b1 / np.where(positive, x, 1.0) - b0, 0.0)
+
+
+def _angular_components(k_par, k_z, k1, big_z, lateral, refl, weight=1.0):
     """phi-integrated integrand components in the frame with the lateral
     separation along +x.
 
     Returns shape (n, 5): (xx, yy, zz, xz, zx) including the e^{i k_z Z}
-    propagation factor but not the contour jacobian.
+    propagation factor and a per-node ``weight`` (the contour jacobian, if
+    the caller wants it in).
     """
-    arg = k_par * lateral
-    b0, b1, b2 = j0(arg), j1(arg), jn(2, arg)
+    b0, b1, b2 = _bessel_j012(k_par * lateral)
     r_s, r_p = refl(k_par)
-    phase = np.exp(1j * k_z * big_z)
-    pi = np.pi
-    s_xx = pi * (b0 + b2)
-    s_yy = pi * (b0 - b2)
-    kz2 = k_z**2 / k1**2
-    p_xx = -kz2 * pi * (b0 - b2)
-    p_yy = -kz2 * pi * (b0 + b2)
-    p_zz = (k_par**2 / k1**2) * 2.0 * pi * b0
-    p_xz = -(k_z * k_par / k1**2) * 2j * pi * b1
-    comps = np.stack(
-        [
-            r_s * s_xx + r_p * p_xx,
-            r_s * s_yy + r_p * p_yy,
-            r_p * p_zz,
-            r_p * p_xz,
-            -r_p * p_xz,
-        ],
-        axis=-1,
-    )
-    return comps * phase[..., None]
+    w = np.pi * weight * np.exp(1j * k_z * big_z)
+    s_w, p_w = r_s * w, r_p * w
+    q = p_w * (k_z / k1) ** 2
+    even, odd = b0 + b2, b0 - b2
+    comps = np.empty(np.shape(w) + (5,), dtype=complex)
+    comps[..., 0] = s_w * even - q * odd
+    comps[..., 1] = s_w * odd - q * even
+    comps[..., 2] = p_w * (2.0 * (k_par / k1) ** 2 * b0)
+    comps[..., 3] = p_w * (k_z * (-2j * k_par / k1**2 * b1))
+    comps[..., 4] = -comps[..., 3]
+    return comps
 
 
 def _assemble(comps, phi0):
-    g = np.array(
-        [
-            [comps[0], 0.0, comps[3]],
-            [0.0, comps[1], 0.0],
-            [comps[4], 0.0, comps[2]],
-        ],
-        dtype=complex,
-    )
-    if phi0 == 0.0:
-        return g
-    cp, sp = np.cos(phi0), np.sin(phi0)
-    rot = np.array([[cp, -sp, 0.0], [sp, cp, 0.0], [0.0, 0.0, 1.0]])
-    return rot @ g @ rot.T
+    """Tensor R g R^T from components ``(..., 5)`` in the frame with the
+    lateral separation along +x, rotated by ``phi0`` about z."""
+    xx, yy, zz, xz, zx = np.moveaxis(np.asarray(comps, dtype=complex), -1, 0)
+    c, s = np.cos(phi0), np.sin(phi0)
+    cs = c * s * (xx - yy)
+    return np.stack([
+        np.stack([c * c * xx + s * s * yy, cs, c * xz], axis=-1),
+        np.stack([cs, s * s * xx + c * c * yy, s * xz], axis=-1),
+        np.stack([c * zx, s * zx, zz], axis=-1),
+    ], axis=-2)
 
 
 def halfspace_scatter_full(r, r_prime, omega, material, rtol=1e-9,
@@ -245,43 +258,50 @@ def halfspace_scatter_full(r, r_prime, omega, material, rtol=1e-9,
     is truncated where kappa (z+z') = 40. Both segments are integrated in
     one adaptive call over s = theta on [0, pi/2] and s = pi/2 + t beyond,
     with a panel boundary where they join; the tolerance applies to the
-    whole tensor.
+    whole tensor. Batches of points are separate integrals of one adaptive
+    run, each geometry with its own tolerance.
 
-    Returns ``(tensor, relative_error_estimate)``.
+    Returns ``(tensor, relative_error_estimate)``; for points of shape
+    (..., 3) the estimate has shape (...).
     """
     from .quadrature import adaptive_quad_vec
 
-    r = np.asarray(r, dtype=float)
-    rp = np.asarray(r_prime, dtype=float)
-    z, zp = float(r[2]), float(rp[2])
-    if z <= 0.0 or zp <= 0.0:
-        raise GeometryError("both points must lie above the interface (z > 0)")
+    r, rp, _, _ = _heights(r, r_prime)
+    r, rp = np.broadcast_arrays(r, rp)
+    shape = r.shape[:-1]
+    r, rp = r.reshape(-1, 3), rp.reshape(-1, 3)
+    z, zp = r[:, 2], rp[:, 2]
     big_z = z + zp
-    dx, dy = r[0] - rp[0], r[1] - rp[1]
-    lateral = float(np.hypot(dx, dy))
-    phi0 = float(np.arctan2(dy, dx)) if lateral > 0.0 else 0.0
+    dx, dy = r[:, 0] - rp[:, 0], r[:, 1] - rp[:, 1]
+    lateral = np.hypot(dx, dy)
+    phi0 = np.where(lateral > 0.0, np.arctan2(dy, dx), 0.0)
     k1 = omega / C
     refl = _reflection_callable(material, omega)
     pref = 1j / (8.0 * np.pi**2)
     half_pi = 0.5 * np.pi
 
-    def integrand(s):
+    def integrand(x):
+        s, i = np.ascontiguousarray(x["s"]), x["i"]
         prop = s < half_pi
         t = s - half_pi
         k_par = np.where(prop, k1 * np.sin(s), k1 * np.cosh(t))
         k_z = np.where(prop, k1 * np.cos(s), 1j * k1 * np.sinh(t))
         # contour jacobian k_par dk_par / k_z: k_par for theta, -i k_par for t
-        jac = np.where(prop, k_par, -1j * k_par)
-        comps = _angular_components(k_par, k_z, k1, big_z, lateral, refl)
-        return pref * jac[..., None] * comps
+        jac = np.where(prop, pref * k_par, -1j * pref * k_par)
+        return _angular_components(k_par, k_z, k1, big_z[i], lateral[i], refl,
+                                   jac)
 
-    t_max = float(np.arcsinh(_EVANESCENT_DECADES / (k1 * big_z)))
+    t_max = np.arcsinh(_EVANESCENT_DECADES / (k1 * big_z))
+    n = len(big_z)
     comps, err = adaptive_quad_vec(
-        integrand, (0.0, half_pi), (half_pi, half_pi + t_max), rtol=rtol,
+        integrand, np.stack([np.zeros(n), np.full(n, half_pi)], axis=1),
+        np.stack([np.full(n, half_pi), half_pi + t_max], axis=1), rtol=rtol,
         max_panels=max_panels,
     )
-    scale = max(float(np.abs(comps).max()), 1e-300)
-    return _assemble(comps, phi0), float(err.max()) / scale
+    scale = np.maximum(np.abs(comps).max(axis=1), 1e-300)
+    g = _assemble(comps, phi0).reshape(shape + (3, 3))
+    rel = (err.max(axis=1) / scale).reshape(shape)
+    return g, (float(rel) if rel.ndim == 0 else rel)
 
 
 # --- total tensor assembly ---------------------------------------------------
@@ -293,7 +313,8 @@ def green_scatter(env, r, r_prime, omega, method="auto", rtol=1e-9):
     "nr" or "r" (on-axis analytic limits).
     """
     if isinstance(env, Vacuum):
-        return np.zeros((3, 3), dtype=complex), 0.0
+        shape = np.broadcast_shapes(np.shape(r), np.shape(r_prime))[:-1]
+        return np.zeros(shape + (3, 3), dtype=complex), 0.0
     if method in ("nr", "r"):
         fn = halfspace_scatter_nr if method == "nr" else halfspace_scatter_r
         return fn(r, r_prime, omega, env), 0.0

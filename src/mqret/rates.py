@@ -16,7 +16,6 @@ Sommerfeld scattering tensor.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -64,7 +63,8 @@ def _check_geometry(positions, omega):
     pos = [np.asarray(p, dtype=float) for p in positions]
     for i in range(len(pos)):
         for j in range(i + 1, len(pos)):
-            if np.linalg.norm(pos[i] - pos[j]) < MIN_SEPARATION_WAVELENGTHS * lam:
+            dist = np.linalg.norm(pos[i] - pos[j], axis=-1)
+            if np.any(dist < MIN_SEPARATION_WAVELENGTHS * lam):
                 raise GeometryError(
                     "pairwise separation below the dipole-approximation guard "
                     f"({MIN_SEPARATION_WAVELENGTHS} wavelengths)"
@@ -74,7 +74,7 @@ def _check_geometry(positions, omega):
 def _check_heights(env, positions):
     if isinstance(env, (HalfSpace, PerfectMirror)):
         for p in positions:
-            if np.asarray(p)[2] <= 0.0:
+            if np.any(np.asarray(p)[..., 2] <= 0.0):
                 raise GeometryError("all bodies must satisfy z > 0 near a surface")
 
 
@@ -85,19 +85,26 @@ def _green(env, r, r_prime, omega, method, rtol, include_phase=True):
     return gb + gs, err
 
 
-@lru_cache(maxsize=8)
-def _direct_leg(env, r_a, r_d, omega, method, rtol, include_phase):
-    """G_AD from hashable arguments, memoised so that a sweep over mediator
-    positions evaluates it once per donor-acceptor pair and process.
+# G_AD per donor-acceptor pair, so that a sweep over mediator positions
+# evaluates it once per pair and process; least recently used first
+_DIRECT_LEGS = {}
+_DIRECT_LEGS_MAX = 8
 
-    The key is everything the tensor depends on, and the tensor is computed
-    from the key alone, so a hit returns exactly what a fresh evaluation
-    would. The cached tensor is read-only because every hit shares it.
+
+def _remember(key, leg):
+    """Keep ``leg`` = (G_AD, err) under ``key`` as the most recent entry.
+
+    The key is everything the tensor depends on, and the tensor depends on
+    nothing else (it is the same whichever batch it was evaluated in), so a
+    hit returns exactly what a fresh evaluation would. The kept tensor is
+    read-only because every hit shares it.
     """
-    g, err = _green(env, np.array(r_a), np.array(r_d), omega, method, rtol,
-                    include_phase)
-    g.flags.writeable = False
-    return g, err
+    leg[0].flags.writeable = False
+    _DIRECT_LEGS.pop(key, None)
+    _DIRECT_LEGS[key] = leg
+    while len(_DIRECT_LEGS) > _DIRECT_LEGS_MAX:
+        del _DIRECT_LEGS[next(iter(_DIRECT_LEGS))]
+    return leg
 
 
 def _point_key(r):
@@ -116,7 +123,11 @@ def _coupling(env, r_a, r_d, omega, mediator=None, method="auto", rtol=1e-9,
     leg, and ``include_phase`` applies to the direct leg only. ``err`` is
     the sum of the leg error estimates. Reciprocity gives
     F(D, M, A) = F(A, M, D)^T, so no rate needs the reversed legs. G_AD
-    comes from the ``_direct_leg`` memo; the returned G_AD is read-only.
+    comes from the ``_DIRECT_LEGS`` memo; the returned G_AD is read-only.
+
+    A mediator position of shape (N, 3) gives the mediated terms and errors
+    of N geometries, with G_AM and G_MD of all N from one tensor call, which
+    also evaluates G_AD when the memo misses it.
     """
     if method == "limits":
         direct, legs, include_phase = "nr", "r", False
@@ -132,14 +143,35 @@ def _coupling(env, r_a, r_d, omega, mediator=None, method="auto", rtol=1e-9,
     _check_geometry(positions, omega)
     _check_heights(env, positions)
 
-    g_ad, err = _direct_leg(env, _point_key(r_a), _point_key(r_d),
-                            float(omega), direct, float(rtol),
-                            bool(include_phase))
+    key = (env, _point_key(r_a), _point_key(r_d), float(omega), direct,
+           float(rtol), bool(include_phase))
+    leg = _DIRECT_LEGS.get(key)
+    batch = np.shape(mediator.position)[:-1] if mediator is not None else ()
+    # on a miss, G_AD joins the tensor call of the mediator legs if it can
+    fold = leg is None and alpha != 0.0 and direct == legs and include_phase
+    if leg is None and not fold:
+        leg = _green(env, np.asarray(r_a, dtype=float),
+                     np.asarray(r_d, dtype=float), omega, direct, rtol,
+                     include_phase)
     if alpha == 0.0:
-        return g_ad, np.zeros((3, 3), dtype=complex), err
-    r_m = mediator.position
-    g_am, e_am = _green(env, r_a, r_m, omega, legs, rtol)
-    g_md, e_md = _green(env, r_m, r_d, omega, legs, rtol)
+        g_ad, err = _remember(key, leg)
+        return g_ad, np.zeros(batch + (3, 3), dtype=complex), err + np.zeros(batch)
+    r_m = np.asarray(mediator.position, dtype=float).reshape(-1, 3)
+    r_a = np.broadcast_to(np.asarray(r_a, dtype=float), r_m.shape)
+    r_d = np.broadcast_to(np.asarray(r_d, dtype=float), r_m.shape)
+    near, far = [r_a, r_m], [r_m, r_d]
+    if fold:
+        near.append(r_a[:1])
+        far.append(r_d[:1])
+    g, e = _green(env, np.concatenate(near), np.concatenate(far), omega, legs,
+                  rtol)
+    e = np.broadcast_to(e, g.shape[:1])
+    if fold:
+        leg = (g[-1].copy(), e[-1])
+    g_ad, err = _remember(key, leg)
+    n = len(r_m)
+    g_am, g_md = g[:n].reshape(batch + (3, 3)), g[n:2 * n].reshape(batch + (3, 3))
+    e_am, e_md = e[:n].reshape(batch), e[n:2 * n].reshape(batch)
     return g_ad, MU0 * omega**2 * alpha * (g_am @ g_md), err + e_am + e_md
 
 
@@ -178,6 +210,9 @@ def rate_isotropic(d_donor, d_acceptor, r_donor, r_acceptor, env, omega,
     |d_D|^2 Tr[F(A,M,D) . F*(D,M,A)], which reciprocity reduces to the
     squared Frobenius norm of F(A,M,D); Gamma_0 is the same with G_AD alone.
     The error estimate counts every leg twice, once per factor of the trace.
+
+    A mediator position of shape (N, 3) gives the rates of N mediator
+    positions in one call; the result's fields are then arrays of length N.
     """
     if d_donor <= 0.0 or d_acceptor <= 0.0:
         raise ValueError("dipole magnitudes must be positive")
@@ -185,14 +220,19 @@ def rate_isotropic(d_donor, d_acceptor, r_donor, r_acceptor, env, omega,
                                  method, rtol)
     pref = (2.0 * np.pi * MU0**2 * omega**4 / (9.0 * HBAR)
             * d_donor**2 * d_acceptor**2)
-    f = g_ad + g_med
-    gamma = pref * np.vdot(f, f).real
-    gamma0_val = pref * np.vdot(g_ad, g_ad).real
-    return RateResult(
-        gamma=float(gamma),
-        gamma_normalized=float(gamma / max(gamma0_val, TINY)),
-        error_estimate=float(2.0 * err),
-    )
+    gamma = pref * _norm2(g_ad + g_med)
+    gamma0_val = pref * _norm2(g_ad)
+    fields = {"gamma": gamma,
+              "gamma_normalized": gamma / max(gamma0_val, TINY),
+              "error_estimate": 2.0 * err}
+    if np.ndim(gamma) == 0:
+        fields = {k: float(v) for k, v in fields.items()}
+    return RateResult(**fields)
+
+
+def _norm2(g):
+    """Squared Frobenius norm of each 3x3 tensor."""
+    return (g.real**2 + g.imag**2).sum(axis=(-2, -1))
 
 
 # --- colinear closed form ----------------------------------------------------

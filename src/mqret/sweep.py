@@ -1,9 +1,11 @@
 """Parameter-sweep engines and CSV/JSON emission.
 
-Sweep points are independent pure evaluations, so they run through a process
-pool when requested; the collected records keep the deterministic input
-ordering and fixed float formatting, making the emitted CSV byte-identical
-regardless of worker count.
+Sweep points are independent pure evaluations. They are evaluated in chunks
+of rows, each chunk one batched rate call per method, and the chunks run
+through a process pool when requested. A row's value does not depend on the
+rows that share its chunk, and the collected records keep the deterministic
+input ordering and fixed float formatting, making the emitted CSV
+byte-identical regardless of worker count.
 """
 
 import csv
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ConfigError, with_mediator_position
+from .config import ConfigError
 from .core import GeometryError, QuadratureError
 from .media import (
     MediatorResonanceError,
@@ -73,33 +75,73 @@ _ROW_ERRORS = (GeometryError, QuadratureError, ConfigError, SurfaceModeError,
                MediatorResonanceError, SymbolicMaterialError)
 
 
-def _eval_point(args):
-    cfg, method, x_lam, z_lam, flag = args
-    point_cfg = with_mediator_position(cfg, x_lam, z_lam)
-    try:
-        med = Mediator(point_cfg.mediator, StaticScalar(cfg.alpha))
-        res = rate_isotropic(cfg.d_donor, cfg.d_acceptor, cfg.donor,
-                             cfg.acceptor, cfg.environment, cfg.omega,
-                             mediator=med, method=method, rtol=cfg.quad_rtol)
-        return RateRecord(
-            x_m=x_lam, z_m=z_lam, gamma=res.gamma,
-            gamma_normalized=res.gamma_normalized,
-            method=method, error_estimate=res.error_estimate, flag=flag,
-        )
-    except _ROW_ERRORS as exc:  # record in-row; the sweep continues
-        return RateRecord(
-            x_m=x_lam, z_m=z_lam, gamma=float("nan"),
-            gamma_normalized=float("nan"), method=method,
-            error_estimate=float("nan"),
-            flag=f"error:{type(exc).__name__}",
-        )
+# rows per chunk at most: bounds the memory of one batched evaluation
+_CHUNK_ROWS = 64
 
 
-def _run(tasks, workers):
-    if workers <= 1:
-        return [_eval_point(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_eval_point, tasks, chunksize=8))
+def _eval_rows(cfg, method, rows):
+    """Records of rows ``(method, x_lam, z_lam, flag)`` sharing one method,
+    from one rate call over all their mediator positions."""
+    positions = np.array([[x_lam * cfg.lambda_d, 0.0, z_lam * cfg.lambda_d]
+                          for _, x_lam, z_lam, _ in rows])
+    res = rate_isotropic(cfg.d_donor, cfg.d_acceptor, cfg.donor, cfg.acceptor,
+                         cfg.environment, cfg.omega,
+                         mediator=Mediator(positions, StaticScalar(cfg.alpha)),
+                         method=method, rtol=cfg.quad_rtol)
+    return [
+        RateRecord(x_m=x_lam, z_m=z_lam, gamma=float(res.gamma[k]),
+                   gamma_normalized=float(res.gamma_normalized[k]),
+                   method=method, error_estimate=float(res.error_estimate[k]),
+                   flag=flag)
+        for k, (_, x_lam, z_lam, flag) in enumerate(rows)
+    ]
+
+
+def _eval_point(chunk):
+    """Records of one chunk ``(cfg, rows)``, in row order.
+
+    The rows of each method are one rate call. If that call raises a row
+    error, its rows are evaluated again one by one, so that the error lands
+    in the row it belongs to; the sweep continues.
+    """
+    cfg, rows = chunk
+    records = [None] * len(rows)
+    for method in dict.fromkeys(row[0] for row in rows):
+        picked = [k for k, row in enumerate(rows) if row[0] == method]
+        try:
+            done = _eval_rows(cfg, method, [rows[k] for k in picked])
+        except _ROW_ERRORS as exc:
+            if len(picked) > 1:
+                done = [_eval_point((cfg, [rows[k]]))[0] for k in picked]
+            else:
+                _, x_lam, z_lam, _ = rows[picked[0]]
+                done = [RateRecord(
+                    x_m=x_lam, z_m=z_lam, gamma=float("nan"),
+                    gamma_normalized=float("nan"), method=method,
+                    error_estimate=float("nan"),
+                    flag=f"error:{type(exc).__name__}",
+                )]
+        for k, rec in zip(picked, done):
+            records[k] = rec
+    return records
+
+
+def _run(cfg, rows, workers):
+    """Records of all rows, in order. The rows are dealt round-robin into
+    chunks of at most ``min(_CHUNK_ROWS, ceil(rows / workers))``, so that
+    each chunk gets a share of the near and the far mediator positions."""
+    workers = max(workers, 1)
+    n = -(-len(rows) // min(_CHUNK_ROWS, -(-len(rows) // workers)))
+    chunks = [(cfg, rows[k::n]) for k in range(n)]
+    if workers == 1:
+        done = [_eval_point(chunk) for chunk in chunks]
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            done = list(pool.map(_eval_point, chunks))
+    records = [None] * len(rows)
+    for k, recs in enumerate(done):
+        records[k::n] = recs
+    return records
 
 
 def sweep_1d(cfg, spec, workers=1):
@@ -107,15 +149,15 @@ def sweep_1d(cfg, spec, workers=1):
     if not cfg.has_mediator:
         raise ConfigError("1-D sweep needs a mediator block in the config")
     z_a = cfg.acceptor[2] / cfg.lambda_d
-    tasks = []
+    rows = []
     for method in spec.methods:
         for z_lam in np.linspace(spec.z_min, spec.z_max, spec.steps):
             z_lam = float(z_lam)
             flag = ""
             if method == "limits" and z_lam - z_a < 1.0:
                 flag = "nr_guard"  # mediator closer than one wavelength
-            tasks.append((cfg, method, 0.0, z_lam, flag))
-    return _run(tasks, workers)
+            rows.append((method, 0.0, z_lam, flag))
+    return _run(cfg, rows, workers)
 
 
 def sweep_2d(cfg, spec, workers=1):
@@ -126,7 +168,7 @@ def sweep_2d(cfg, spec, workers=1):
     clip = cfg.clip_radius * cfg.lambda_d
     xs = np.linspace(spec.x_min, spec.x_max, spec.nx)
     zs = np.linspace(spec.z_min, spec.z_max, spec.nz)
-    tasks = []
+    rows = []
     for z_lam in zs:
         for x_lam in xs:
             pos = np.array([float(x_lam) * cfg.lambda_d, 0.0,
@@ -135,10 +177,9 @@ def sweep_2d(cfg, spec, workers=1):
             if (np.linalg.norm(pos - cfg.donor) < clip
                     or np.linalg.norm(pos - cfg.acceptor) < clip):
                 flag = "clip"
-            tasks.append((cfg, method, float(x_lam), float(z_lam), flag))
-    records = _run(tasks, workers)
+            rows.append((method, float(x_lam), float(z_lam), flag))
     # inside the clip radius keep the flag even when evaluation succeeded
-    return records
+    return _run(cfg, rows, workers)
 
 
 def _format(value):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mqret import greens, media
-from mqret.core import C, GeometryError, IDENTITY, outer
+from mqret.core import C, GeometryError, IDENTITY, QuadratureError, outer
 
 
 LAM = 1e-6
@@ -174,6 +174,95 @@ class TestSommerfeld:
         full, _ = greens.halfspace_scatter_full([0, 0, z], [0, 0, z], OMEGA, mat)
         lim = greens.halfspace_scatter_r([0, 0, z], [0, 0, z], OMEGA, mat)
         assert np.max(np.abs(full - lim)) / np.max(np.abs(lim)) < 2e-2
+
+
+class TestBatchedSommerfeld:
+    LOSSY_METAL = media.DrudeLorentz(2.5 * OMEGA, 0.0, 0.2 * OMEGA)
+    # two geometries whose error estimate bottoms out near 1e-13
+    FLOOR = [(np.array([0.0, 0.0, 0.005]) * LAM, np.array([1.0, 0.0, 0.014]) * LAM),
+             (np.array([0.2, 0.0, 0.009]) * LAM, np.array([-0.8, 0.0, 0.012]) * LAM)]
+
+    @staticmethod
+    def counting_panels(monkeypatch):
+        """Counts the panels the Sommerfeld integrand is evaluated on."""
+        from mqret import quadrature
+
+        real = quadrature.adaptive_quad_vec
+        nodes = []
+
+        def counting(f, *args, **kwargs):
+            def kernel(x):
+                nodes.append(x.size)
+                return f(x)
+            return real(kernel, *args, **kwargs)
+
+        monkeypatch.setattr(quadrature, "adaptive_quad_vec", counting)
+        return lambda: sum(nodes) // 21
+
+    def test_j2_recurrence_matches_scipy(self):
+        """J2 = 2 J1/x - J0 against scipy's jn(2, x), which shares no code
+        with it, at the origin, tiny arguments and far along the axis."""
+        from scipy.special import jn
+
+        x = np.concatenate([[0.0, 1e-300, 1e-12, 1e-6, 1e-3],
+                            np.random.default_rng(2).uniform(0.0, 2000.0, 20000)])
+        _, _, j2 = greens._bessel_j012(x)
+        assert np.abs(j2 - jn(2, x)).max() <= 1e-14
+        assert j2[0] == 0.0
+
+    def test_batch_equals_single_geometry(self):
+        mat = media.Constant(2.25)
+        r = np.array([[0.0, 0.0, 0.05], [0.3, -0.2, 0.4], [0.0, 0.0, 2.0]]) * LAM
+        rp = np.array([[0.0, 0.0, 0.08], [-0.5, 0.1, 0.9], [1.5, 0.0, 0.3]]) * LAM
+        g, err = greens.halfspace_scatter_full(r, rp, OMEGA, mat)
+        assert g.shape == (3, 3, 3) and err.shape == (3,)
+        for k in range(3):
+            g_k, err_k = greens.halfspace_scatter_full(r[k], rp[k], OMEGA, mat)
+            assert np.array_equal(g[k], g_k) and err[k] == err_k
+
+    def test_far_zone_meets_its_own_tolerance(self):
+        """A 40 lambda tensor batched with a 0.002 lambda one is ~1e9 times
+        smaller; it must still meet rtol against its own magnitude."""
+        mat = media.Constant(2.25)
+        r = np.array([[0.0, 0.0, 0.002], [0.0, 0.0, 40.0]]) * LAM
+        rp = np.array([[0.002, 0.0, 0.002], [0.5, 0.0, 40.0]]) * LAM
+        rtol = 1e-6
+        g, _ = greens.halfspace_scatter_full(r, rp, OMEGA, mat, rtol=rtol)
+        ref, _ = greens.halfspace_scatter_full(r[1], rp[1], OMEGA, mat, rtol=1e-10)
+        assert np.abs(g[0]).max() > 1e6 * np.abs(ref).max()
+        assert np.abs(g[1] - ref).max() <= rtol * np.abs(ref).max()
+        solo, _ = greens.halfspace_scatter_full(r[1], rp[1], OMEGA, mat, rtol=rtol)
+        assert np.array_equal(g[1], solo)
+
+    def test_rounding_floor_fails_fast(self, monkeypatch):
+        """Below the rounding floor of |K21 - G10| the evaluator raises at
+        once instead of spending its 4000-panel budget."""
+        panels = self.counting_panels(monkeypatch)
+        for r, rp in self.FLOOR:
+            before = panels()
+            with pytest.raises(QuadratureError) as info:
+                greens.halfspace_scatter_full(r, rp, OMEGA, self.LOSSY_METAL,
+                                              rtol=1e-13)
+            assert info.value.estimate is not None and info.value.estimate > 1e-13
+            assert panels() - before <= 1200
+
+    def test_floor_geometries_converge_at_1e12(self):
+        r, rp = (np.stack(p) for p in zip(*self.FLOOR))
+        _, err = greens.halfspace_scatter_full(r, rp, OMEGA, self.LOSSY_METAL,
+                                               rtol=1e-12)
+        assert np.all(err <= 1e-12)
+
+    def test_near_zone_dielectric_converges_at_1e12(self):
+        """Mediator legs of a map over eps = 2.25 near the benchmark's
+        geometries reach rtol 1e-12, the benchmark's reference tolerance."""
+        xs, zs = np.meshgrid(np.linspace(-3.0, 3.0, 5), [0.2, 0.5, 2.0, 4.0])
+        med = np.stack([xs.ravel(), 0.0 * xs.ravel(), zs.ravel()], axis=1) * LAM
+        r_a, r_d = np.array([0.0, 0.0, 0.07]) * LAM, np.array([0.0, 0.0, 0.04]) * LAM
+        r = np.concatenate([np.broadcast_to(r_a, med.shape), med])
+        rp = np.concatenate([med, np.broadcast_to(r_d, med.shape)])
+        _, err = greens.halfspace_scatter_full(r, rp, OMEGA, media.Constant(2.25),
+                                               rtol=1e-12)
+        assert np.all(err <= 1e-12)
 
 
 class TestDispatch:

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad_vec
 
 from mqret.core import QuadratureError
-from mqret.quadrature import _panels, adaptive_quad_vec
+from mqret.quadrature import NODE, _panels, adaptive_quad_vec
 
 
 def recording(f):
@@ -119,3 +119,69 @@ def test_agrees_with_scipy_quad_vec(a, b, c, lo, width):
     dev = np.abs(total - ref)
     assert dev.max() <= 1e-9 * np.abs(ref).max()
     assert np.all(dev <= err + ref_err)
+
+
+def batch_integrand(params):
+    """e^{iax}/(1+bx^2) (1, c, i) with row k of ``params`` = (a, b, c) for
+    the nodes of integral k."""
+    def f(x):
+        a, b, c = params[x["i"]].T
+        s = x["s"]
+        base = np.exp(1j * a * s) / (1.0 + b * s**2)
+        return base[:, None] * np.stack([np.ones_like(c), c, 1j * np.ones_like(c)], axis=1)
+    return f
+
+
+@settings(max_examples=25, deadline=None)
+@given(params=st.lists(st.tuples(st.floats(-40.0, 40.0), st.floats(0.0, 400.0),
+                                 st.floats(0.1, 3.0)), min_size=1, max_size=6),
+       rtol=st.sampled_from([1e-6, 1e-9, 1e-11]))
+def test_batch_equals_single_runs(params, rtol):
+    """N stacked integrals give what N lone runs give, with the same panels."""
+    params = np.array(params)
+    n = len(params)
+    lo = np.tile([-1.0, 0.2], (n, 1))
+    hi = np.tile([0.2, 2.0], (n, 1))
+    f = batch_integrand(params)
+    owners = []
+
+    def tracking(x):
+        owners.append(np.bincount(x["i"], minlength=n))
+        return f(x)
+
+    total, err = adaptive_quad_vec(tracking, lo, hi, rtol=rtol)
+    panels = np.sum(owners, axis=0) // 21
+    assert total.shape == (n, 3) and err.shape == (n, 3)
+    for k in range(n):
+        one = batch_integrand(params[k:k + 1])
+
+        def lone(s):
+            x = np.zeros(s.size, dtype=NODE)
+            x["s"] = s
+            return one(x)
+
+        single, sizes = recording(lone)
+        ref, ref_err = adaptive_quad_vec(single, lo[k], hi[k], rtol=rtol)
+        assert np.abs(total[k] - ref).max() <= 1e-14 * np.abs(ref).max()
+        assert np.abs(err[k] - ref_err).max() <= 1e-14 * np.abs(ref).max()
+        assert panels[k] == sum(sizes) // 21
+
+
+def test_tolerance_per_integral():
+    """Each integral of a batch meets rtol against its own magnitude: a
+    small integral beside a large one is resolved to its own rtol."""
+    scales = np.array([1.0, 1e-12])
+
+    def f(x):
+        s = x["s"]
+        return (scales[x["i"]] * np.cos(40.0 * s) * np.exp(-s))[:, None] + 0j
+
+    exact = scales * (1.0 + 40.0 * np.exp(-2.0) * np.sin(80.0)
+                      - np.exp(-2.0) * np.cos(80.0)) / (1.0 + 40.0**2)
+    total, _ = adaptive_quad_vec(f, [[0.0], [0.0]], [[2.0], [2.0]], rtol=1e-10)
+    assert np.all(np.abs(total[:, 0] - exact) <= 1e-10 * np.abs(exact))
+
+
+def test_batch_rejects_bad_rows():
+    with pytest.raises(ValueError):
+        adaptive_quad_vec(lambda x: x["s"], [[0.0], [1.0]], [[1.0], [1.0]])

@@ -215,27 +215,35 @@ class TestDirectLegMemo:
         return rates.rate_isotropic(D1, D1, r_d, self.R_A, DIELECTRIC, OMEGA,
                                     mediator=med, method="exact", rtol=rtol)
 
-    def test_no_stale_hits(self, monkeypatch):
-        full = greens.halfspace_scatter_full
-        calls = []
+    def test_no_stale_hits(self, sommerfeld_geometries):
+        def evaluated():
+            return sum(len(call) for call in sommerfeld_geometries)
 
-        def counting(*args, **kwargs):
-            calls.append(args[:2])
-            return full(*args, **kwargs)
-
-        monkeypatch.setattr(greens, "halfspace_scatter_full", counting)
-        rates._direct_leg.cache_clear()
+        rates._DIRECT_LEGS.clear()
         first = self.rate(self.R_D, 1e-9)
-        assert len(calls) == 3
+        assert evaluated() == 3
         assert self.rate(self.R_D, 1e-9) == first  # hit: G_AM, G_MD only
-        assert len(calls) == 5
+        assert evaluated() == 5
+        # a miss evaluates G_AD in the same call as G_AM and G_MD
+        assert [len(call) for call in sommerfeld_geometries] == [3, 2]
         moved = self.R_D + np.array([0.01, 0.0, 0.0]) * LAM
         for r_d, rtol in ((moved, 1e-9), (self.R_D, 1e-10)):
-            before = len(calls)
+            before = evaluated()
             got = self.rate(r_d, rtol)
-            assert len(calls) - before == 3
-            rates._direct_leg.cache_clear()
+            assert evaluated() - before == 3
+            rates._DIRECT_LEGS.clear()
             assert got == self.rate(r_d, rtol)
+
+    def test_direct_leg_from_a_batch_equals_lone(self):
+        """G_AD evaluated beside the mediator legs is the tensor a lone
+        evaluation gives, bit for bit."""
+        rates._DIRECT_LEGS.clear()
+        self.rate(self.R_D, 1e-9)
+        (batched, err), = rates._DIRECT_LEGS.values()
+        rates._DIRECT_LEGS.clear()
+        lone, _, lone_err = rates._coupling(DIELECTRIC, self.R_A, self.R_D,
+                                            OMEGA, method="exact")
+        assert np.array_equal(batched, lone) and err == lone_err
 
     def test_cached_tensor_is_read_only(self):
         g_ad = rates._coupling(DIELECTRIC, self.R_A, self.R_D, OMEGA)[0]

@@ -162,22 +162,22 @@ class TestSweep:
         sweep.emit(r3, "csv", str(p3), metadata={"k": "v"})
         assert p1.read_bytes() == p3.read_bytes()
 
-    def test_direct_leg_once_per_pair(self, tmp_path, monkeypatch):
-        """A map evaluates G_AD once, then G_AM and G_MD for each row."""
-        full = greens.halfspace_scatter_full
-        calls = []
-
-        def counting(*args, **kwargs):
-            calls.append(args[:2])
-            return full(*args, **kwargs)
-
-        monkeypatch.setattr(greens, "halfspace_scatter_full", counting)
-        rates._direct_leg.cache_clear()
+    def test_direct_leg_once_per_pair(self, tmp_path, sommerfeld_geometries):
+        """A map evaluates G_AD once, then G_AM and G_MD for each row,
+        counted as geometries: one tensor call may evaluate many."""
+        rates._DIRECT_LEGS.clear()
         cfg = config.load_config(write_config(tmp_path, DIELECTRIC))
         spec = sweep.TwoDSweep(-1.0, 1.0, 1.0, 2.0, 3, 2)
         recs = sweep.sweep_2d(cfg, spec, workers=1)
         assert all(np.isfinite(r.gamma) for r in recs)
-        assert len(calls) == 1 + 2 * len(recs)
+        pairs = [pair for call in sommerfeld_geometries for pair in call]
+        r_a, r_d = tuple(cfg.acceptor), tuple(cfg.donor)
+        assert pairs.count((r_a, r_d)) == 1
+        assert len(pairs) == 1 + 2 * len(recs)
+        g_am = [rp for r, rp in pairs if r == r_a and rp != r_d]
+        g_md = [r for r, rp in pairs if rp == r_d and r != r_a]
+        assert len(set(g_am)) == len(g_am) == len(recs)
+        assert set(g_md) == set(g_am) and len(g_md) == len(recs)
 
     def test_map_worker_determinism(self, tmp_path):
         """Map CSVs are byte-identical whatever the worker count, although
@@ -193,6 +193,34 @@ class TestSweep:
             assert rc == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1] == outs[2]
+
+    def test_sweep_z_worker_determinism(self, tmp_path):
+        """sweep-z over a dielectric, both methods: the chunks of 2 and 3
+        workers mix limits and exact rows, and the bytes stay the same."""
+        p = write_config(tmp_path, DIELECTRIC)
+        outs = []
+        for workers in (1, 2, 3):
+            out = tmp_path / f"z-w{workers}.csv"
+            rc = cli.main(["sweep-z", "--config", p, "--zmin", "0.6", "--zmax",
+                           "2.0", "--steps", "7", "--method", "both", "--out",
+                           str(out), "--workers", str(workers)])
+            assert rc == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1] == outs[2]
+
+    def test_failed_chunk_is_retried_row_by_row(self, tmp_path):
+        """A mediator inside the donor's separation guard fails its chunk;
+        that row is flagged and every other row matches its lone evaluation
+        byte for byte."""
+        cfg = config.load_config(write_config(tmp_path, DIELECTRIC))
+        z_d = cfg.donor[2] / cfg.lambda_d
+        rows = [("exact", x, z, "") for x, z in
+                ((-1.0, 1.0), (0.0, z_d + 5e-5), (0.5, 2.0), (1.0, 0.6))]
+        recs = sweep._eval_point((cfg, rows))
+        assert recs[1].flag == "error:GeometryError" and np.isnan(recs[1].gamma)
+        for k in (0, 2, 3):
+            alone, = sweep._eval_point((cfg, [rows[k]]))
+            assert recs[k].flag == "" and repr(recs[k]) == repr(alone)
 
     def test_csv_roundtrip(self, tmp_path):
         cfg = config.load_config(write_config(tmp_path))
