@@ -11,6 +11,14 @@ Conventions: the bulk tensor follows the quasi-static form
 The scattering tensor of a half-space filling z < 0 is evaluated for both
 points in the vacuum region z > 0.
 
+The Sommerfeld contour runs over k_par = k sin(theta) (propagating) and
+k_par = k cosh(t) (evanescent, cut where kappa (z + z') = 40). Over a
+dielectric with Re sqrt(eps) > 1 the evanescent segment has a panel edge
+at the branch point k sqrt(eps) of k_z2, t_b = acosh(Re sqrt(eps)), with
+the substitutions t = t_b sin^2(v/2) below it and t = t_b + u^2 just beyond
+it, which make the integrand analytic there, so the adaptive panels
+converge geometrically. The segment table is in :func:`_contour_edges`.
+
 Every tensor function takes points of shape (..., 3), broadcast against each
 other, and returns tensors of shape (..., 3, 3), one per geometry; the
 Sommerfeld evaluator integrates all geometries in one adaptive run.
@@ -28,6 +36,7 @@ from .media import (
     permittivity,
     r_nonretarded,
     r_retarded,
+    sqrt_im_pos,
 )
 
 # mirror-image parity for a dipole above a perfect electric reflector: it
@@ -247,6 +256,64 @@ def _assemble(comps, phi0):
     ], axis=-2)
 
 
+def _branch_edge(material, omega):
+    """t_b = acosh(Re sqrt(eps)), where the branch point k1 sqrt(eps) of k_z2
+    meets the evanescent segment k_par = k1 cosh(t), or 0.0 when
+    Re sqrt(eps) <= 1 (metals, the perfect reflector): no branch point
+    there."""
+    if isinstance(material, PerfectReflector):
+        return 0.0
+    n = complex(sqrt_im_pos(permittivity(material, omega))).real
+    return float(np.arccosh(n)) if n > 1.0 else 0.0
+
+
+def _contour_edges(t_max, t_b):
+    """Initial panels ``(lo, hi)``, each of shape (N, P), on the contour
+    abscissa s, and whether each geometry's evanescent segment is split at
+    ``t_b``.
+
+    The segment table, one for every geometry and material (each line one
+    initial panel; u_c^2 = min(1, (t_max - t_b) / 2)):
+
+    =====  ========================  ======================================
+    split  s                         k_par
+    =====  ========================  ======================================
+    no     [0, pi/2]                 k1 sin(theta), theta = s
+    no     [pi/2, pi/2 + t_max]      k1 cosh(t), t = s - pi/2
+    yes    [-1 - 3 pi/2, -1 - pi]    k1 sin(theta), theta = s + 1 + 3 pi/2
+    yes    [-1 - pi, -1]             k1 cosh(t), t = t_b sin^2(v/2),
+                                     v = s + 1 + pi
+    yes    [-1, u_c - 1]             k1 cosh(t), t = t_b + u^2, u = s + 1
+    yes    [t_b + u_c^2, t_max]      k1 cosh(t), t = s
+    =====  ========================  ======================================
+
+    A geometry is split when t_b > 0 and its cut-off t_max lies beyond t_b
+    (by more than 1e-9, so that every panel keeps a positive width). The
+    substitutions make the square root of k_z2 analytic on both sides
+    of t_b; the tail beyond t_b + u_c^2 stays linear, with t the abscissa
+    itself, so that the fast oscillation of a near-surface tail is not
+    sampled through a rounded change of variable. With t_b > 0 every
+    geometry gets four initial panels, so that a batch keeps one width: an
+    unsplit one cuts its evanescent segment in three. Without a branch
+    point (t_b = 0) there are two, the segments of a metal.
+    """
+    n = len(t_max)
+    half_pi = 0.5 * np.pi
+    if t_b == 0.0:
+        edges = np.stack([np.zeros(n), np.full(n, half_pi), half_pi + t_max],
+                         axis=1)
+        return (edges[:, :-1], edges[:, 1:]), np.zeros(n, dtype=bool)
+    split = t_max > t_b + 1e-9
+    u_c = np.sqrt(np.minimum(1.0, 0.5 * np.where(split, t_max - t_b, 0.0)))
+    lo = np.stack([np.full(n, -1.0 - 1.5 * np.pi), np.full(n, -1.0 - np.pi),
+                   np.full(n, -1.0), t_b + u_c * u_c], axis=1)
+    hi = np.stack([lo[:, 1], lo[:, 2], u_c - 1.0, t_max], axis=1)
+    cuts = half_pi + t_max[:, None] * np.array([0.0, 1.0, 2.0, 3.0]) / 3.0
+    unsplit = np.concatenate([np.zeros((n, 1)), cuts], axis=1)
+    return (np.where(split[:, None], lo, unsplit[:, :-1]),
+            np.where(split[:, None], hi, unsplit[:, 1:])), split
+
+
 def halfspace_scatter_full(r, r_prime, omega, material, rtol=1e-9,
                            max_panels=4000):
     """Full scattering Green's tensor of the half-space.
@@ -254,12 +321,20 @@ def halfspace_scatter_full(r, r_prime, omega, material, rtol=1e-9,
     Angular-spectrum integral over k_par with the azimuthal integration done
     analytically (J0/J1/J2 kernels). The propagating segment is parametrised
     as k_par = k sin(theta) and the evanescent one as k_par = k cosh(t),
-    which removes the 1/k_z branch-point singularity analytically. The tail
-    is truncated where kappa (z+z') = 40. Both segments are integrated in
-    one adaptive call over s = theta on [0, pi/2] and s = pi/2 + t beyond,
-    with a panel boundary where they join; the tolerance applies to the
-    whole tensor. Batches of points are separate integrals of one adaptive
-    run, each geometry with its own tolerance.
+    which removes the 1/k_z branch-point singularity of k_z1 at k_par = k.
+    When Re sqrt(eps) > 1 (dielectrics), the branch point k sqrt(eps) of
+    k_z2 lies on the evanescent segment at t_b = acosh(Re sqrt(eps)). If it
+    lies before the cut-off, that segment is split there: t = t_b
+    sin^2(v/2), v in [0, pi], below it, and t = t_b + u^2 on a stretch of
+    at most 1 in t beyond it, then t itself. The square root is then
+    analytic on both sides of the edge and the panels converge
+    geometrically instead of algebraically (see :func:`_contour_edges`).
+    Metals (Re sqrt(eps) <= 1) and the perfect reflector keep the two plain
+    segments. The tail is truncated where kappa (z+z') = 40. All segments
+    are integrated in one adaptive call over the abscissa s, with a panel
+    boundary where two segments join; the tolerance applies to the whole
+    tensor. Batches of points are separate integrals of one adaptive run,
+    each geometry with its own segments and tolerance.
 
     Returns ``(tensor, relative_error_estimate)``; for points of shape
     (..., 3) the estimate has shape (...).
@@ -277,27 +352,33 @@ def halfspace_scatter_full(r, r_prime, omega, material, rtol=1e-9,
     phi0 = np.where(lateral > 0.0, np.arctan2(dy, dx), 0.0)
     k1 = omega / C
     refl = _reflection_callable(material, omega)
+    t_b = _branch_edge(material, omega)
+    edges, split = _contour_edges(
+        np.arcsinh(_EVANESCENT_DECADES / (k1 * big_z)), t_b)
     pref = 1j / (8.0 * np.pi**2)
     half_pi = 0.5 * np.pi
 
     def integrand(x):
         s, i = np.ascontiguousarray(x["s"]), x["i"]
-        prop = s < half_pi
-        t = s - half_pi
-        k_par = np.where(prop, k1 * np.sin(s), k1 * np.cosh(t))
-        k_z = np.where(prop, k1 * np.cos(s), 1j * k1 * np.sinh(t))
-        # contour jacobian k_par dk_par / k_z: k_par for theta, -i k_par for t
-        jac = np.where(prop, pref * k_par, -1j * pref * k_par)
+        sp = split[i]
+        theta = np.where(sp, s + (1.0 + 1.5 * np.pi), s)
+        prop = theta < half_pi
+        below = sp & (s < -1.0)
+        square = sp & (s >= -1.0) & (s <= 0.0)
+        v, u = s + (1.0 + np.pi), s + 1.0
+        t = np.where(below, t_b * np.sin(0.5 * v) ** 2,
+                     np.where(square, t_b + u * u, np.where(sp, s, s - half_pi)))
+        dt = np.where(below, 0.5 * t_b * np.sin(v), np.where(square, 2.0 * u, 1.0))
+        k_par = np.where(prop, k1 * np.sin(theta), k1 * np.cosh(t))
+        k_z = np.where(prop, k1 * np.cos(theta), 1j * k1 * np.sinh(t))
+        # contour jacobian k_par dk_par / k_z: k_par for theta, -i k_par dt/ds
+        # for the evanescent segments
+        jac = np.where(prop, pref * k_par, -1j * pref * k_par * dt)
         return _angular_components(k_par, k_z, k1, big_z[i], lateral[i], refl,
                                    jac)
 
-    t_max = np.arcsinh(_EVANESCENT_DECADES / (k1 * big_z))
-    n = len(big_z)
-    comps, err = adaptive_quad_vec(
-        integrand, np.stack([np.zeros(n), np.full(n, half_pi)], axis=1),
-        np.stack([np.full(n, half_pi), half_pi + t_max], axis=1), rtol=rtol,
-        max_panels=max_panels,
-    )
+    comps, err = adaptive_quad_vec(integrand, *edges, rtol=rtol,
+                                   max_panels=max_panels)
     scale = np.maximum(np.abs(comps).max(axis=1), 1e-300)
     g = _assemble(comps, phi0).reshape(shape + (3, 3))
     rel = (err.max(axis=1) / scale).reshape(shape)

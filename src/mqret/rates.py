@@ -79,9 +79,17 @@ def _check_heights(env, positions):
 
 
 def _green(env, r, r_prime, omega, method, rtol, include_phase=True):
-    """Total tensor with a propagated quadrature error estimate."""
+    """Total tensor and a bound on the Frobenius norm of its error.
+
+    The Sommerfeld estimate is relative to the largest of the five
+    components (xx, yy, zz, xz, zx) of the scattering tensor in its own
+    frame; the rotation keeps the Frobenius norm, so the absolute error is
+    at most sqrt(5) times that estimate times the tensor's Frobenius norm.
+    """
     gb = green_bulk(r, r_prime, omega, method=method, include_phase=include_phase)
     gs, err = green_scatter(env, r, r_prime, omega, method=method, rtol=rtol)
+    if np.any(err):   # the closed forms are exact and report 0.0
+        err = np.sqrt(5.0) * err * np.sqrt(_norm2(gs))
     return gb + gs, err
 
 
@@ -120,8 +128,9 @@ def _coupling(env, r_a, r_d, omega, mediator=None, method="auto", rtol=1e-9,
     without a mediator or at alpha = 0. ``method`` "limits" uses the
     phase-free near-zone tensor for the direct leg and the far-zone tensors
     for both mediator legs; "exact"/"auto"/"nr"/"r" use that tensor on every
-    leg, and ``include_phase`` applies to the direct leg only. ``err`` is
-    the sum of the leg error estimates. Reciprocity gives
+    leg, and ``include_phase`` applies to the direct leg only. ``err``
+    bounds the Frobenius norm of the error of F, propagated to first and
+    second order from the absolute error of each leg. Reciprocity gives
     F(D, M, A) = F(A, M, D)^T, so no rate needs the reversed legs. G_AD
     comes from the ``_DIRECT_LEGS`` memo; the returned G_AD is read-only.
 
@@ -171,8 +180,14 @@ def _coupling(env, r_a, r_d, omega, mediator=None, method="auto", rtol=1e-9,
     g_ad, err = _remember(key, leg)
     n = len(r_m)
     g_am, g_md = g[:n].reshape(batch + (3, 3)), g[n:2 * n].reshape(batch + (3, 3))
-    e_am, e_md = e[:n].reshape(batch), e[n:2 * n].reshape(batch)
-    return g_ad, MU0 * omega**2 * alpha * (g_am @ g_md), err + e_am + e_md
+    e_med = np.zeros(batch)
+    if np.any(e):
+        e_am, e_md = e[:n].reshape(batch), e[n:2 * n].reshape(batch)
+        # ||dA B + A dB + dA dB|| <= ||dA|| ||B|| + ||A|| ||dB|| + ||dA|| ||dB||
+        e_med = (e_am * np.sqrt(_norm2(g_md)) + np.sqrt(_norm2(g_am)) * e_md
+                 + e_am * e_md)
+    scale = MU0 * omega**2 * alpha
+    return g_ad, scale * (g_am @ g_md), err + abs(scale) * e_med
 
 
 def rate_oriented(donor, acceptor, env, omega, mediator=None, method="auto",
@@ -190,6 +205,9 @@ def rate_oriented(donor, acceptor, env, omega, mediator=None, method="auto",
     amp_med = d_a @ g_med @ donor.moment
     pref = 2.0 * np.pi * MU0**2 * omega**4 / HBAR
     gamma = pref * abs(amp0 + amp_med) ** 2
+    # |d_A* . dF . d_D| <= |d_A| |d_D| ||dF||
+    amp_err = (np.linalg.norm(acceptor.moment) * np.linalg.norm(donor.moment)
+               * err)
     gamma0_val = pref * abs(amp0) ** 2
     return RateResult(
         gamma=float(gamma),
@@ -197,7 +215,7 @@ def rate_oriented(donor, acceptor, env, omega, mediator=None, method="auto",
         matrix_element_direct=complex(MU0 * omega**2 * amp0),
         matrix_element_indirect=(None if mediator is None
                                  else complex(-MU0 * omega**2 * amp_med)),
-        error_estimate=float(err),
+        error_estimate=float(_squared_error(amp_err, abs(amp0 + amp_med))),
     )
 
 
@@ -209,7 +227,8 @@ def rate_isotropic(d_donor, d_acceptor, r_donor, r_acceptor, env, omega,
     rule consumes |d|^2 only. Gamma = (2 pi mu0^2 w^4 / 9 hbar) |d_A|^2
     |d_D|^2 Tr[F(A,M,D) . F*(D,M,A)], which reciprocity reduces to the
     squared Frobenius norm of F(A,M,D); Gamma_0 is the same with G_AD alone.
-    The error estimate counts every leg twice, once per factor of the trace.
+    The error estimate bounds |dGamma / Gamma| by 2 ||dF|| / ||F|| (plus its
+    square), with ||dF|| propagated from the tensor errors.
 
     A mediator position of shape (N, 3) gives the rates of N mediator
     positions in one call; the result's fields are then arrays of length N.
@@ -220,11 +239,12 @@ def rate_isotropic(d_donor, d_acceptor, r_donor, r_acceptor, env, omega,
                                  method, rtol)
     pref = (2.0 * np.pi * MU0**2 * omega**4 / (9.0 * HBAR)
             * d_donor**2 * d_acceptor**2)
-    gamma = pref * _norm2(g_ad + g_med)
+    f2 = _norm2(g_ad + g_med)
+    gamma = pref * f2
     gamma0_val = pref * _norm2(g_ad)
     fields = {"gamma": gamma,
               "gamma_normalized": gamma / max(gamma0_val, TINY),
-              "error_estimate": 2.0 * err}
+              "error_estimate": _squared_error(err, np.sqrt(f2))}
     if np.ndim(gamma) == 0:
         fields = {k: float(v) for k, v in fields.items()}
     return RateResult(**fields)
@@ -233,6 +253,13 @@ def rate_isotropic(d_donor, d_acceptor, r_donor, r_acceptor, env, omega,
 def _norm2(g):
     """Squared Frobenius norm of each 3x3 tensor."""
     return (g.real**2 + g.imag**2).sum(axis=(-2, -1))
+
+
+def _squared_error(err, value):
+    """Bound on the relative error of value^2 from an absolute error ``err``
+    of value: |(v + e)^2 - v^2| / v^2 <= 2x + x^2 with x = e/v."""
+    x = err / np.maximum(value, TINY)
+    return 2.0 * x + x * x
 
 
 # --- colinear closed form ----------------------------------------------------

@@ -176,14 +176,35 @@ class TestCouplingTensors:
         f_dma = sum(rates._coupling(env, r_d, r_a, OMEGA, med, "exact")[:2])
         assert dyadic_reciprocity_defect(f_amd, f_dma) < 1e-10
 
+    # donor, acceptor and mediator a few hundredths of a wavelength above
+    # the surface, where the scattering legs weigh most in F
+    NEAR_SURFACE = [
+        (np.array([0.0, 0.0, 0.02]), np.array([0.03, 0.0, 0.05]),
+         np.array([0.3, 0.0, 0.1])),
+        (np.array([0.0, 0.0, 0.04]), np.array([0.0, 0.0, 0.07]),
+         np.array([0.3, 0.0, 0.3])),
+        (np.array([0.0, 0.0, 0.01]), np.array([0.05, 0.02, 0.01]),
+         np.array([0.0, 0.1, 0.02])),
+    ]
+
     @pytest.mark.parametrize("env", [DIELECTRIC, LOSSY_METAL])
-    @pytest.mark.parametrize("geom", OFF_AXIS)
+    @pytest.mark.parametrize("geom", OFF_AXIS + NEAR_SURFACE)
     def test_error_estimate_bounds_true_error(self, env, geom):
+        """The propagated bound 2 ||dF||/||F|| of the isotropic rate, and
+        that of an oriented rate, bound the deviation of an rtol 1e-5 rate
+        from an rtol 1e-12 one."""
         r_d, r_a, r_m = (p * LAM for p in geom)
         med = rates.Mediator(r_m, media.StaticScalar(ALPHA))
         loose, tight = (rates.rate_isotropic(D1, D1, r_d, r_a, env, OMEGA,
                                              mediator=med, method="exact",
                                              rtol=rtol)
+                        for rtol in (1e-5, 1e-12))
+        true_err = abs(loose.gamma - tight.gamma) / tight.gamma
+        assert true_err <= loose.error_estimate
+        loose, tight = (rates.rate_oriented(dip(r_d, [D1, 0, 0]),
+                                            dip(r_a, [0, D1, D1]), env, OMEGA,
+                                            mediator=med, method="exact",
+                                            rtol=rtol)
                         for rtol in (1e-5, 1e-12))
         true_err = abs(loose.gamma - tight.gamma) / tight.gamma
         assert true_err <= loose.error_estimate
