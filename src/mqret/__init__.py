@@ -10,7 +10,6 @@ from .core import (
     GeometryError,
     QuadratureError,
     dyadic_reciprocity_defect,
-    outer,
 )
 from .greens import (
     HalfSpace,

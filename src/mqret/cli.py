@@ -116,6 +116,16 @@ def _cmd_verify(args):
     return 1 if failures else 0
 
 
+def _worker_count(text):
+    try:
+        workers = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if workers < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {workers}")
+    return workers
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="mqret",
@@ -138,7 +148,7 @@ def build_parser():
                    default="both")
     p.add_argument("--out", required=True)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_worker_count, default=1)
     p.set_defaults(func=_cmd_sweep_z)
 
     p = sub.add_parser("map", help="2-D mediator map in the x-z plane")
@@ -151,7 +161,7 @@ def build_parser():
     p.add_argument("--nz", type=int, required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_worker_count, default=1)
     p.set_defaults(func=_cmd_map)
 
     p = sub.add_parser("green", help="debug-print one Green's tensor")

@@ -77,13 +77,13 @@ def parse_config(data):
     """Build a validated SimulationConfig from a parsed JSON object."""
     if "omega_d" in data:
         omega = float(data["omega_d"])
-        if omega <= 0:
-            raise ConfigError("omega_d must be positive")
+        if not 0 < omega < np.inf:
+            raise ConfigError("omega_d must be positive and finite")
         lambda_d = 2.0 * np.pi * C / omega
     elif "lambda_d_m" in data:
         lambda_d = float(data["lambda_d_m"])
-        if lambda_d <= 0:
-            raise ConfigError("lambda_d_m must be positive")
+        if not 0 < lambda_d < np.inf:
+            raise ConfigError("lambda_d_m must be positive and finite")
         omega = angular_frequency(lambda_d)
     else:
         raise ConfigError("config must set 'omega_d' (rad/s) or 'lambda_d_m'")
@@ -109,8 +109,6 @@ def parse_config(data):
     else:
         d_donor = float(_require(dip, "donor_debye", "dipoles")) * DEBYE
         d_acceptor = float(_require(dip, "acceptor_debye", "dipoles")) * DEBYE
-        if d_donor <= 0 or d_acceptor <= 0:
-            raise ConfigError("dipole magnitudes must be positive")
 
     method = data.get("method", "auto")
     if method not in ("auto", "limits", "exact"):
@@ -141,15 +139,21 @@ def _validate(cfg):
     if cfg.mediator is not None:
         bodies["mediator"] = cfg.mediator
     for name, pos in bodies.items():
+        if not np.all(np.isfinite(pos)):
+            raise ConfigError(f"{name} position must be finite")
         if near_surface and pos[2] <= 0.0:
             raise ConfigError(f"{name} must lie above the surface (z > 0)")
     colinear = all(abs(p[0]) < 1e-12 * cfg.lambda_d for p in bodies.values())
     if colinear and cfg.acceptor[2] <= cfg.donor[2]:
         raise ConfigError("colinear geometry requires z_donor < z_acceptor")
-    if cfg.quad_rtol <= 0:
-        raise ConfigError("quad_rtol must be positive")
-    if cfg.clip_radius < 0:
-        raise ConfigError("clip_radius must be non-negative")
+    if not 0 < cfg.quad_rtol < np.inf:
+        raise ConfigError("quad_rtol must be positive and finite")
+    if not 0 <= cfg.clip_radius < np.inf:
+        raise ConfigError("clip_radius must be non-negative and finite")
+    if not np.isfinite(cfg.alpha):
+        raise ConfigError("mediator polarizability_volume must be finite")
+    if not (0 < cfg.d_donor < np.inf and 0 < cfg.d_acceptor < np.inf):
+        raise ConfigError("dipole magnitudes must be positive and finite")
 
 
 def load_config(path):

@@ -1,4 +1,4 @@
-"""Physical constants and small vector/dyadic helpers (SI units throughout).
+"""Physical constants, error types and dyadic helpers (SI units throughout).
 
 Lengths entered in units of the donor transition wavelength are converted to
 meters at configuration load; everything below that layer is plain SI double
@@ -32,19 +32,6 @@ class QuadratureError(RuntimeError):
     def __init__(self, message, estimate=None):
         super().__init__(message)
         self.estimate = estimate
-
-
-def vec3(x, y, z):
-    """Real position vector in meters."""
-    v = np.array([x, y, z], dtype=float)
-    if not np.all(np.isfinite(v)):
-        raise ValueError("vector components must be finite")
-    return v
-
-
-def outer(a, b):
-    """Dyadic product (a ⊗ b)_ij = a_i b_j."""
-    return np.outer(np.asarray(a), np.asarray(b))
 
 
 def frobenius(a):

@@ -2,11 +2,12 @@
 
 One geometry gives three tensors, G_AD, G_AM and G_MD, built by
 ``_coupling``: G_AM and G_MD once per rate, G_AD once per donor-acceptor
-pair and process, since it does not depend on the mediator. They form the
-coupling tensor F = G_AD + mu0 w^2 alpha G_AM G_MD. The oriented rate, the
-isotropically averaged rate and the mediator-free reference rate Gamma_0 are
-projections of those tensors. The module also holds the colinear near/far-zone
-closed form and the two-body reference formulas used for consistency checks.
+pair, since it does not depend on the mediator (its memo is shared by the
+threads of a sweep). They form the coupling tensor F = G_AD + mu0 w^2 alpha
+G_AM G_MD. The oriented rate, the isotropically averaged rate and the
+mediator-free reference rate Gamma_0 are projections of those tensors. The
+module also holds the colinear near/far-zone closed form and the two-body
+reference formulas used for consistency checks.
 
 The "limits" method takes the quasi-static (phase-free) near-zone tensor on
 the donor-acceptor leg and the far-zone tensors on both mediator legs,
@@ -15,6 +16,7 @@ matching the approximation scheme behind the closed-form colinear rate. The
 Sommerfeld scattering tensor.
 """
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,9 +96,11 @@ def _green(env, r, r_prime, omega, method, rtol, include_phase=True):
 
 
 # G_AD per donor-acceptor pair, so that a sweep over mediator positions
-# evaluates it once per pair and process; least recently used first
+# evaluates it once per pair; least recently used first. The threads of a
+# sweep share it, so every read and update holds the lock.
 _DIRECT_LEGS = {}
 _DIRECT_LEGS_MAX = 8
+_DIRECT_LEGS_LOCK = threading.Lock()
 
 
 def _remember(key, leg):
@@ -108,10 +112,11 @@ def _remember(key, leg):
     read-only because every hit shares it.
     """
     leg[0].flags.writeable = False
-    _DIRECT_LEGS.pop(key, None)
-    _DIRECT_LEGS[key] = leg
-    while len(_DIRECT_LEGS) > _DIRECT_LEGS_MAX:
-        del _DIRECT_LEGS[next(iter(_DIRECT_LEGS))]
+    with _DIRECT_LEGS_LOCK:
+        _DIRECT_LEGS.pop(key, None)
+        _DIRECT_LEGS[key] = leg
+        while len(_DIRECT_LEGS) > _DIRECT_LEGS_MAX:
+            del _DIRECT_LEGS[next(iter(_DIRECT_LEGS))]
     return leg
 
 
@@ -136,7 +141,8 @@ def _coupling(env, r_a, r_d, omega, mediator=None, method="auto", rtol=1e-9,
 
     A mediator position of shape (N, 3) gives the mediated terms and errors
     of N geometries, with G_AM and G_MD of all N from one tensor call, which
-    also evaluates G_AD when the memo misses it.
+    also evaluates G_AD when the memo misses it. Threads that miss the same
+    pair at once each evaluate it; the results are bit-identical.
     """
     if method == "limits":
         direct, legs, include_phase = "nr", "r", False
@@ -154,7 +160,8 @@ def _coupling(env, r_a, r_d, omega, mediator=None, method="auto", rtol=1e-9,
 
     key = (env, _point_key(r_a), _point_key(r_d), float(omega), direct,
            float(rtol), bool(include_phase))
-    leg = _DIRECT_LEGS.get(key)
+    with _DIRECT_LEGS_LOCK:
+        leg = _DIRECT_LEGS.get(key)
     batch = np.shape(mediator.position)[:-1] if mediator is not None else ()
     # on a miss, G_AD joins the tensor call of the mediator legs if it can
     fold = leg is None and alpha != 0.0 and direct == legs and include_phase

@@ -1,16 +1,18 @@
 """Parameter-sweep engines and CSV/JSON emission.
 
 Sweep points are independent pure evaluations. They are evaluated in chunks
-of rows, each chunk one batched rate call per method, and the chunks run
-through a process pool when requested. A row's value does not depend on the
-rows that share its chunk, and the collected records keep the deterministic
-input ordering and fixed float formatting, making the emitted CSV
-byte-identical regardless of worker count.
+of at most ``_CHUNK_ROWS`` rows, each chunk one batched rate call per
+method, and the chunks run on a pool of threads when requested (the numpy
+and scipy.special loops of the kernel release the interpreter lock). The
+chunk layout does not depend on the worker count, a row's value does not
+depend on the rows that share its chunk, and the collected records keep the
+deterministic input ordering and fixed float formatting, making the emitted
+CSV byte-identical regardless of worker count.
 """
 
 import csv
 import json
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +39,8 @@ class OneDSweep:
     methods: tuple = ("limits",)
 
     def __post_init__(self):
+        if not np.all(np.isfinite([self.z_min, self.z_max])):
+            raise ValueError("sweep bounds must be finite")
         if not self.z_min < self.z_max:
             raise ValueError("sweep requires z_min < z_max")
         if self.steps < 2:
@@ -53,6 +57,9 @@ class TwoDSweep:
     nz: int
 
     def __post_init__(self):
+        if not np.all(np.isfinite([self.x_min, self.x_max, self.z_min,
+                                   self.z_max])):
+            raise ValueError("sweep bounds must be finite")
         if not (self.x_min < self.x_max and self.z_min < self.z_max):
             raise ValueError("sweep requires min < max on both axes")
         if self.nx < 2 or self.nz < 2:
@@ -75,7 +82,8 @@ _ROW_ERRORS = (GeometryError, QuadratureError, ConfigError, SurfaceModeError,
                MediatorResonanceError, SymbolicMaterialError)
 
 
-# rows per chunk at most: bounds the memory of one batched evaluation
+# rows per chunk at most: bounds the memory of one batched evaluation. It
+# does not depend on the worker count, so neither do the chunks.
 _CHUNK_ROWS = 64
 
 
@@ -97,14 +105,13 @@ def _eval_rows(cfg, method, rows):
     ]
 
 
-def _eval_point(chunk):
-    """Records of one chunk ``(cfg, rows)``, in row order.
+def _eval_point(cfg, rows):
+    """Records of one chunk of rows, in row order.
 
     The rows of each method are one rate call. If that call raises a row
     error, its rows are evaluated again one by one, so that the error lands
     in the row it belongs to; the sweep continues.
     """
-    cfg, rows = chunk
     records = [None] * len(rows)
     for method in dict.fromkeys(row[0] for row in rows):
         picked = [k for k, row in enumerate(rows) if row[0] == method]
@@ -112,7 +119,7 @@ def _eval_point(chunk):
             done = _eval_rows(cfg, method, [rows[k] for k in picked])
         except _ROW_ERRORS as exc:
             if len(picked) > 1:
-                done = [_eval_point((cfg, [rows[k]]))[0] for k in picked]
+                done = [_eval_point(cfg, [rows[k]])[0] for k in picked]
             else:
                 _, x_lam, z_lam, _ = rows[picked[0]]
                 done = [RateRecord(
@@ -128,16 +135,19 @@ def _eval_point(chunk):
 
 def _run(cfg, rows, workers):
     """Records of all rows, in order. The rows are dealt round-robin into
-    chunks of at most ``min(_CHUNK_ROWS, ceil(rows / workers))``, so that
-    each chunk gets a share of the near and the far mediator positions."""
-    workers = max(workers, 1)
-    n = -(-len(rows) // min(_CHUNK_ROWS, -(-len(rows) // workers)))
-    chunks = [(cfg, rows[k::n]) for k in range(n)]
-    if workers == 1:
-        done = [_eval_point(chunk) for chunk in chunks]
+    ``ceil(rows / _CHUNK_ROWS)`` chunks, so that each chunk gets a share of
+    the near and the far mediator positions. One chunk, or one worker, runs
+    in the calling thread; otherwise the chunks run on ``min(workers,
+    chunks)`` threads, which share the G_AD memo of ``rates``."""
+    if workers < 1:
+        raise ValueError("workers must be at least 1")
+    n = -(-len(rows) // _CHUNK_ROWS)
+    chunks = [rows[k::n] for k in range(n)]
+    if min(workers, n) <= 1:
+        done = [_eval_point(cfg, chunk) for chunk in chunks]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            done = list(pool.map(_eval_point, chunks))
+        with ThreadPoolExecutor(max_workers=min(workers, n)) as pool:
+            done = list(pool.map(_eval_point, [cfg] * n, chunks))
     records = [None] * len(rows)
     for k, recs in enumerate(done):
         records[k::n] = recs

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from mqret import greens, media
-from mqret.core import C, GeometryError, IDENTITY, QuadratureError, outer
+from mqret.core import C, GeometryError, IDENTITY, QuadratureError
 
 
 LAM = 1e-6
@@ -12,7 +12,7 @@ OMEGA = 2 * np.pi * C / LAM
 
 def transverse(rho_vec):
     e = np.asarray(rho_vec) / np.linalg.norm(rho_vec)
-    return IDENTITY - outer(e, e)
+    return IDENTITY - np.outer(e, e)
 
 
 class TestVacuumBulk:

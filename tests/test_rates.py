@@ -1,3 +1,6 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -270,6 +273,51 @@ class TestDirectLegMemo:
         g_ad = rates._coupling(DIELECTRIC, self.R_A, self.R_D, OMEGA)[0]
         with pytest.raises(ValueError):
             g_ad[0, 0] = 0.0
+
+    def test_threads_share_the_memo(self):
+        """Four threads reading and evicting twelve pairs through an
+        eight-entry memo, by rate calls and by direct updates: no lost
+        update raises, the memo stays bounded and every G_AD equals a fresh
+        evaluation. Even pairs come with a mediator (G_AD folded into the
+        batched call), odd pairs without."""
+        env = greens.PerfectMirror()
+        donors = [self.R_D + np.array([0.01 * k, 0.0, 0.0]) * LAM
+                  for k in range(12)]
+        med = rates.Mediator(np.array([self.R_M, 2.0 * self.R_M]),
+                             media.StaticScalar(ALPHA))
+
+        def g_ad(k):
+            return rates._coupling(env, self.R_A, donors[k], OMEGA,
+                                   mediator=None if k % 2 else med,
+                                   method="exact")[0]
+
+        fresh = []
+        for k in range(len(donors)):
+            rates._DIRECT_LEGS.clear()
+            fresh.append(g_ad(k))
+            fresh[-1] = (fresh[-1],) + next(iter(rates._DIRECT_LEGS.items()))
+
+        def work(seed):
+            order = np.random.default_rng(seed).integers(len(donors), size=40000)
+            for n, k in enumerate(order):
+                expected, key, leg = fresh[k]
+                if n % 64:
+                    rates._remember(key, leg)
+                else:
+                    assert np.array_equal(g_ad(k), expected)
+            return len(order)
+
+        rates._DIRECT_LEGS.clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(work, seed) for seed in range(4)]
+                done = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert done == [40000] * 4
+        assert len(rates._DIRECT_LEGS) <= rates._DIRECT_LEGS_MAX
 
 
 class TestGuards:

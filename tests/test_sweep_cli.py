@@ -94,6 +94,42 @@ class TestConfig:
         with pytest.raises(config.ConfigError, match="method"):
             config.load_config(p)
 
+    def test_non_finite_position(self, tmp_path):
+        """A NaN or infinite coordinate of any body is a named error, not a
+        failure deep inside the quadrature."""
+        for body, base in (("donor", {"z": 0.3}), ("acceptor", {"z": 0.45}),
+                           ("mediator", {"z": 2.0,
+                                         "polarizability_volume": 0.1})):
+            for axis in ("x", "z"):
+                for bad in (float("nan"), float("inf"), float("-inf")):
+                    p = write_config(tmp_path, {body: {**base, axis: bad}})
+                    with pytest.raises(config.ConfigError,
+                                       match=f"{body} position must be finite"):
+                        config.load_config(p)
+
+    @pytest.mark.parametrize("overrides, match", [
+        ({"quad_rtol": float("nan")}, "quad_rtol"),
+        ({"quad_rtol": float("inf")}, "quad_rtol"),
+        ({"clip_radius": float("nan")}, "clip_radius"),
+        ({"clip_radius": float("inf")}, "clip_radius"),
+        ({"mediator": {"polarizability_volume": float("nan")}},
+         "polarizability_volume"),
+        ({"mediator": {"polarizability_volume": float("inf")}},
+         "polarizability_volume"),
+        ({"lambda_d_m": float("nan")}, "lambda_d_m"),
+        ({"lambda_d_m": float("inf")}, "lambda_d_m"),
+        ({"omega_d": float("nan")}, "omega_d"),
+        ({"omega_d": float("inf")}, "omega_d"),
+        ({"dipoles": {"donor_debye": float("nan"), "acceptor_debye": 1.0}},
+         "dipole magnitudes"),
+        ({"dipoles": {"donor_debye": 1.0, "acceptor_debye": float("inf")}},
+         "dipole magnitudes"),
+    ])
+    def test_non_finite_scalar(self, tmp_path, overrides, match):
+        p = write_config(tmp_path, overrides)
+        with pytest.raises(config.ConfigError, match=match):
+            config.load_config(p)
+
 
 class TestSweep:
     def test_sweep_1d_records(self, tmp_path):
@@ -179,34 +215,61 @@ class TestSweep:
         assert len(set(g_am)) == len(g_am) == len(recs)
         assert set(g_md) == set(g_am) and len(g_md) == len(recs)
 
-    def test_map_worker_determinism(self, tmp_path):
-        """Map CSVs are byte-identical whatever the worker count, although
-        each worker process keeps its own G_AD memo."""
+    def test_map_worker_determinism(self, tmp_path, monkeypatch):
+        """Map CSVs are byte-identical whatever the worker count. Chunks of
+        4 rows make 3 chunks, so 2 and 3 workers run them on threads that
+        share the G_AD memo; the bytes also match one 12-row chunk."""
         p = write_config(tmp_path, DIELECTRIC)
-        outs = []
-        for workers in (1, 2, 3):
+
+        def run(workers):
+            rates._DIRECT_LEGS.clear()
             out = tmp_path / f"map-w{workers}.csv"
             rc = cli.main(["map", "--config", p, "--xmin", "-1.0", "--xmax",
                            "1.0", "--zmin", "0.6", "--zmax", "2.0", "--nx",
                            "4", "--nz", "3", "--out", str(out), "--workers",
                            str(workers)])
             assert rc == 0
-            outs.append(out.read_bytes())
-        assert outs[0] == outs[1] == outs[2]
+            return out.read_bytes()
 
-    def test_sweep_z_worker_determinism(self, tmp_path):
-        """sweep-z over a dielectric, both methods: the chunks of 2 and 3
-        workers mix limits and exact rows, and the bytes stay the same."""
+        one_chunk = run(1)
+        monkeypatch.setattr(sweep, "_CHUNK_ROWS", 4)
+        assert run(1) == run(2) == run(3) == one_chunk
+
+    def test_sweep_z_worker_determinism(self, tmp_path, monkeypatch):
+        """sweep-z over a dielectric, both methods: chunks of 4 rows mix
+        limits and exact rows and run on 2 and 3 threads, and the bytes
+        stay the same as one 14-row chunk's."""
         p = write_config(tmp_path, DIELECTRIC)
-        outs = []
-        for workers in (1, 2, 3):
+
+        def run(workers):
+            rates._DIRECT_LEGS.clear()
             out = tmp_path / f"z-w{workers}.csv"
             rc = cli.main(["sweep-z", "--config", p, "--zmin", "0.6", "--zmax",
                            "2.0", "--steps", "7", "--method", "both", "--out",
                            str(out), "--workers", str(workers)])
             assert rc == 0
-            outs.append(out.read_bytes())
-        assert outs[0] == outs[1] == outs[2]
+            return out.read_bytes()
+
+        one_chunk = run(1)
+        monkeypatch.setattr(sweep, "_CHUNK_ROWS", 4)
+        assert run(1) == run(2) == run(3) == one_chunk
+
+    def test_direct_leg_once_per_thread(self, tmp_path, monkeypatch,
+                                        sommerfeld_geometries):
+        """Threads share the G_AD memo: a map of 3 chunks evaluates G_AD at
+        most once per thread at 2 workers, and exactly once at 1."""
+        monkeypatch.setattr(sweep, "_CHUNK_ROWS", 4)
+        cfg = config.load_config(write_config(tmp_path, DIELECTRIC))
+        spec = sweep.TwoDSweep(-1.0, 1.0, 0.6, 2.0, 4, 3)
+        r_a, r_d = tuple(cfg.acceptor), tuple(cfg.donor)
+        for workers, most in ((1, 1), (2, 2)):
+            rates._DIRECT_LEGS.clear()
+            sommerfeld_geometries.clear()
+            recs = sweep.sweep_2d(cfg, spec, workers=workers)
+            assert all(np.isfinite(r.gamma) for r in recs)
+            pairs = [pair for call in sommerfeld_geometries for pair in call]
+            assert 1 <= pairs.count((r_a, r_d)) <= most
+            assert len(sommerfeld_geometries) >= 3  # one call per chunk
 
     def test_failed_chunk_is_retried_row_by_row(self, tmp_path):
         """A mediator inside the donor's separation guard fails its chunk;
@@ -216,10 +279,10 @@ class TestSweep:
         z_d = cfg.donor[2] / cfg.lambda_d
         rows = [("exact", x, z, "") for x, z in
                 ((-1.0, 1.0), (0.0, z_d + 5e-5), (0.5, 2.0), (1.0, 0.6))]
-        recs = sweep._eval_point((cfg, rows))
+        recs = sweep._eval_point(cfg, rows)
         assert recs[1].flag == "error:GeometryError" and np.isnan(recs[1].gamma)
         for k in (0, 2, 3):
-            alone, = sweep._eval_point((cfg, [rows[k]]))
+            alone, = sweep._eval_point(cfg, [rows[k]])
             assert recs[k].flag == "" and repr(recs[k]) == repr(alone)
 
     def test_csv_roundtrip(self, tmp_path):
@@ -244,6 +307,23 @@ class TestSweep:
             sweep.OneDSweep(2.0, 1.0, 5)
         with pytest.raises(ValueError):
             sweep.TwoDSweep(0.0, 1.0, 0.0, 1.0, 1, 5)
+
+    def test_non_finite_bounds(self):
+        nan, inf = float("nan"), float("inf")
+        for bounds in ((nan, 2.0), (1.0, inf), (-inf, 2.0)):
+            with pytest.raises(ValueError, match="finite"):
+                sweep.OneDSweep(*bounds, 5)
+        for bounds in ((-1.0, inf, 0.5, 1.0), (nan, 1.0, 0.5, 1.0),
+                       (-1.0, 1.0, 0.5, inf), (-1.0, 1.0, nan, 1.0)):
+            with pytest.raises(ValueError, match="finite"):
+                sweep.TwoDSweep(*bounds, 2, 2)
+
+    def test_workers_below_one_rejected(self, tmp_path):
+        cfg = config.load_config(write_config(tmp_path))
+        for workers in (0, -5):
+            with pytest.raises(ValueError, match="workers"):
+                sweep.sweep_1d(cfg, sweep.OneDSweep(1.0, 2.0, 3),
+                               workers=workers)
 
 
 class TestCli:
@@ -273,6 +353,28 @@ class TestCli:
                        "--nz", "3", "--out", out])
         assert rc == 0
         assert len(sweep.read_csv(out)) == 9
+
+    def test_map_rejects_infinite_bound(self, tmp_path, capsys):
+        """An infinite bound used to give rows of NaN with an empty flag."""
+        p = write_config(tmp_path)
+        out = tmp_path / "map.csv"
+        rc = cli.main(["map", "--config", p, "--xmin", "-0.5", "--xmax", "inf",
+                       "--zmin", "0.5", "--zmax", "1.5", "--nx", "2",
+                       "--nz", "2", "--out", str(out)])
+        assert rc == 1
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_workers_below_one_rejected(self, tmp_path, capsys):
+        p = write_config(tmp_path)
+        out = tmp_path / "map.csv"
+        for workers in ("0", "-5"):
+            with pytest.raises(SystemExit):
+                cli.main(["map", "--config", p, "--xmin", "-0.5", "--xmax",
+                          "0.5", "--zmin", "0.5", "--zmax", "1.5", "--nx", "2",
+                          "--nz", "2", "--out", str(out), "--workers", workers])
+            assert "--workers" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_green_command(self, capsys):
         rc = cli.main(["green", "--env", "mirror", "--rx", "0.0", "--rz",
