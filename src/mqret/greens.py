@@ -20,8 +20,11 @@ it, which make the integrand analytic there, so the adaptive panels
 converge geometrically. The segment table is in :func:`_contour_edges`.
 
 Every tensor function takes points of shape (..., 3), broadcast against each
-other, and returns tensors of shape (..., 3, 3), one per geometry; the
-Sommerfeld evaluator integrates all geometries in one adaptive run.
+other, and returns tensors of shape (..., 3, 3), one per geometry. The
+Sommerfeld evaluator integrates all geometries on one contour and one shared
+adaptive panel set, each to its own tolerance, and evaluates the phase
+e^{i k_z Z} once per distinct Z = z + z' and the Bessel functions once per
+distinct lateral distance (see :func:`halfspace_scatter_full`).
 """
 
 from dataclasses import dataclass, field
@@ -213,11 +216,34 @@ def _reflection_callable(material, omega):
 
 
 def _bessel_j012(x):
-    """J0, J1 and J2 of x >= 0, with J2 from the recurrence 2 J1(x)/x - J0(x)
-    (J2(0) = 0), several times cheaper than ``scipy.special.jn(2, x)``."""
+    """J0, J1 and J2 of x >= 0, with J2 from the recurrence 2 J1(x)/x - J0(x),
+    several times cheaper than ``scipy.special.jn(2, x)``. Below x = 0.01,
+    where the recurrence cancels to its last digits (and, for subnormal x,
+    to 1e-11), J2 comes from its series x^2/8 (1 - x^2/12)."""
     b0, b1 = j0(x), j1(x)
-    positive = x > 0.0
-    return b0, b1, np.where(positive, 2.0 * b1 / np.where(positive, x, 1.0) - b0, 0.0)
+    small = x < 1e-2
+    x2 = x * x
+    return b0, b1, np.where(small, 0.125 * x2 * (1.0 - x2 / 12.0),
+                            2.0 * b1 / np.where(small, 1.0, x) - b0)
+
+
+def _kernel_columns(k_par, k_z, k1, refl):
+    """The phi-integrated integrand, apart from its weight and e^{i k_z Z},
+    as four columns (c1 - c2, c1 + c2, c3, c4) that multiply J0, J2, J0 and
+    J1 of k_par rho: c1 = r_s, c2 = r_p (k_z/k1)^2, c3 = 2 r_p (k_par/k1)^2,
+    c4 = -2i r_p k_z k_par / k1^2. :func:`_five` turns them into the
+    components."""
+    r_s, r_p = refl(k_par)
+    c2 = r_p * (k_z / k1) ** 2
+    return np.stack([r_s - c2, r_s + c2, 2.0 * r_p * (k_par / k1) ** 2,
+                     -2j * r_p * k_z * k_par / k1**2], axis=-1)
+
+
+def _five(cols):
+    """Components (xx, yy, zz, xz, zx) from the four Bessel-weighted columns
+    of :func:`_kernel_columns` along the last axis."""
+    a, b, c, d = np.moveaxis(cols, -1, 0)
+    return np.stack([a + b, a - b, c, d, -d], axis=-1)
 
 
 def _angular_components(k_par, k_z, k1, big_z, lateral, refl, weight=1.0):
@@ -229,18 +255,9 @@ def _angular_components(k_par, k_z, k1, big_z, lateral, refl, weight=1.0):
     the caller wants it in).
     """
     b0, b1, b2 = _bessel_j012(k_par * lateral)
-    r_s, r_p = refl(k_par)
     w = np.pi * weight * np.exp(1j * k_z * big_z)
-    s_w, p_w = r_s * w, r_p * w
-    q = p_w * (k_z / k1) ** 2
-    even, odd = b0 + b2, b0 - b2
-    comps = np.empty(np.shape(w) + (5,), dtype=complex)
-    comps[..., 0] = s_w * even - q * odd
-    comps[..., 1] = s_w * odd - q * even
-    comps[..., 2] = p_w * (2.0 * (k_par / k1) ** 2 * b0)
-    comps[..., 3] = p_w * (k_z * (-2j * k_par / k1**2 * b1))
-    comps[..., 4] = -comps[..., 3]
-    return comps
+    cols = _kernel_columns(k_par, k_z, k1, refl)
+    return _five(w[..., None] * cols * np.stack([b0, b2, b0, b1], axis=-1))
 
 
 def _assemble(comps, phi0):
@@ -268,50 +285,75 @@ def _branch_edge(material, omega):
 
 
 def _contour_edges(t_max, t_b):
-    """Initial panels ``(lo, hi)``, each of shape (N, P), on the contour
-    abscissa s, and whether each geometry's evanescent segment is split at
-    ``t_b``.
+    """Initial panels ``(lo, hi)`` on the contour abscissa s.
 
-    The segment table, one for every geometry and material (each line one
-    initial panel; u_c^2 = min(1, (t_max - t_b) / 2)):
+    The segment table (each line one initial panel; u_c^2 =
+    min(1, (t_max - t_b) / 2)):
 
     =====  ========================  ======================================
     split  s                         k_par
     =====  ========================  ======================================
-    no     [0, pi/2]                 k1 sin(theta), theta = s
-    no     [pi/2, pi/2 + t_max]      k1 cosh(t), t = s - pi/2
-    yes    [-1 - 3 pi/2, -1 - pi]    k1 sin(theta), theta = s + 1 + 3 pi/2
+    both   [-1 - 3 pi/2, -1 - pi]    k1 sin(theta), theta = s + 1 + 3 pi/2
     yes    [-1 - pi, -1]             k1 cosh(t), t = t_b sin^2(v/2),
                                      v = s + 1 + pi
     yes    [-1, u_c - 1]             k1 cosh(t), t = t_b + u^2, u = s + 1
     yes    [t_b + u_c^2, t_max]      k1 cosh(t), t = s
+    no     [0, t_max]                k1 cosh(t), t = s
     =====  ========================  ======================================
 
-    A geometry is split when t_b > 0 and its cut-off t_max lies beyond t_b
-    (by more than 1e-9, so that every panel keeps a positive width). The
-    substitutions make the square root of k_z2 analytic on both sides
-    of t_b; the tail beyond t_b + u_c^2 stays linear, with t the abscissa
-    itself, so that the fast oscillation of a near-surface tail is not
-    sampled through a rounded change of variable. With t_b > 0 every
-    geometry gets four initial panels, so that a batch keeps one width: an
-    unsplit one cuts its evanescent segment in three. Without a branch
-    point (t_b = 0) there are two, the segments of a metal.
+    The evanescent segment is split when t_b > 0 and the cut-off t_max lies
+    beyond t_b (by more than 1e-9, so that every panel keeps a positive
+    width). The substitutions make the square root of k_z2 analytic on both
+    sides of t_b; the tail beyond t_b + u_c^2 stays linear, with t the
+    abscissa itself, so that the fast oscillation of a near-surface tail is
+    not sampled through a rounded change of variable. :func:`_contour_point`
+    maps s back to k_par.
     """
-    n = len(t_max)
-    half_pi = 0.5 * np.pi
-    if t_b == 0.0:
-        edges = np.stack([np.zeros(n), np.full(n, half_pi), half_pi + t_max],
-                         axis=1)
-        return (edges[:, :-1], edges[:, 1:]), np.zeros(n, dtype=bool)
-    split = t_max > t_b + 1e-9
-    u_c = np.sqrt(np.minimum(1.0, 0.5 * np.where(split, t_max - t_b, 0.0)))
-    lo = np.stack([np.full(n, -1.0 - 1.5 * np.pi), np.full(n, -1.0 - np.pi),
-                   np.full(n, -1.0), t_b + u_c * u_c], axis=1)
-    hi = np.stack([lo[:, 1], lo[:, 2], u_c - 1.0, t_max], axis=1)
-    cuts = half_pi + t_max[:, None] * np.array([0.0, 1.0, 2.0, 3.0]) / 3.0
-    unsplit = np.concatenate([np.zeros((n, 1)), cuts], axis=1)
-    return (np.where(split[:, None], lo, unsplit[:, :-1]),
-            np.where(split[:, None], hi, unsplit[:, 1:])), split
+    prop = -1.0 - np.pi
+    if not (t_b > 0.0 and t_max > t_b + 1e-9):
+        return np.array([prop - 0.5 * np.pi, 0.0]), np.array([prop, t_max])
+    u_c = np.sqrt(min(1.0, 0.5 * (t_max - t_b)))
+    return (np.array([prop - 0.5 * np.pi, prop, -1.0, t_b + u_c * u_c]),
+            np.array([prop, -1.0, u_c - 1.0, t_max]))
+
+
+def _contour_point(s, k1, t_b):
+    """k_par, k_z and the jacobian k_par (dk_par/ds) / k_z at the contour
+    abscissae ``s`` of :func:`_contour_edges`: k_par for theta and
+    -i k_par dt/ds for the evanescent segments."""
+    theta = s + (1.0 + 1.5 * np.pi)
+    prop = theta < 0.5 * np.pi
+    v, u = s + (1.0 + np.pi), s + 1.0
+    below = ~prop & (s < -1.0)
+    square = (s >= -1.0) & (s < 0.0)
+    t = np.where(below, t_b * np.sin(0.5 * v) ** 2,
+                 np.where(square, t_b + u * u, s))
+    dt = np.where(below, 0.5 * t_b * np.sin(v), np.where(square, 2.0 * u, 1.0))
+    k_par = np.where(prop, k1 * np.sin(theta), k1 * np.cosh(t))
+    k_z = np.where(prop, k1 * np.cos(theta), 1j * k1 * np.sinh(t))
+    return k_par, k_z, np.where(prop, k_par, -1j * k_par * dt)
+
+
+def _product_groups(z_of, rho_of, n_z, n_rho):
+    """How to contract the panels of a batch: a list of ``(zs, rhos,
+    members, z_in, rho_in)``, one matrix product over the heights ``zs`` and
+    lateral offsets ``rhos`` per entry, whose entry ``(z_in, rho_in)`` is
+    the value of geometry ``members``.
+
+    With few distinct (Z, rho) pairs for the batch (a map or a z-sweep) one
+    product covers them all. Otherwise, with nearly every geometry at its
+    own Z and rho, that product would grow as the square of the batch, so
+    there is one product per height, over that height's offsets only."""
+    if n_z * n_rho <= 16 * len(z_of):
+        full = slice(None)
+        return [(full, full, full, z_of, rho_of)]
+    groups = []
+    for j in range(n_z):
+        members = np.flatnonzero(z_of == j)
+        rhos, rho_in = np.unique(rho_of[members], return_inverse=True)
+        groups.append(([j], rhos, members, np.zeros(len(members), dtype=int),
+                       rho_in))
+    return groups
 
 
 def halfspace_scatter_full(r, r_prime, omega, material, rtol=1e-9,
@@ -330,52 +372,63 @@ def halfspace_scatter_full(r, r_prime, omega, material, rtol=1e-9,
     analytic on both sides of the edge and the panels converge
     geometrically instead of algebraically (see :func:`_contour_edges`).
     Metals (Re sqrt(eps) <= 1) and the perfect reflector keep the two plain
-    segments. The tail is truncated where kappa (z+z') = 40. All segments
-    are integrated in one adaptive call over the abscissa s, with a panel
-    boundary where two segments join; the tolerance applies to the whole
-    tensor. Batches of points are separate integrals of one adaptive run,
-    each geometry with its own segments and tolerance.
+    segments. All segments are integrated in one adaptive call over the
+    abscissa s, with a panel boundary where two segments join.
+
+    A batch of points shares one contour and one adaptive panel set, each
+    geometry with its own tolerance against its own magnitude. The tail is
+    cut where kappa (z+z') = 40 for the lowest geometry; past its own
+    cut-off a higher one adds terms below e^-40. The integrand depends on a
+    geometry only through e^{i k_z Z}, Z = z + z', and the Bessel functions
+    of k_par rho, rho the lateral distance. So the per-node terms are
+    evaluated once per node, the phase once per distinct Z and the Bessel
+    functions once per distinct rho, and each panel is reduced by its K21
+    and G10 weights as a matrix product over (Z, rule) and (rho, column),
+    from which each geometry takes its (Z, rho) entry. The largest arrays
+    run over nodes and distinct Z or distinct rho, never over nodes and
+    geometries (:func:`_product_groups`).
 
     Returns ``(tensor, relative_error_estimate)``; for points of shape
     (..., 3) the estimate has shape (...).
     """
-    from .quadrature import adaptive_quad_vec
+    from .quadrature import RULES, adaptive_quad_vec
 
     r, rp, _, _ = _heights(r, r_prime)
     r, rp = np.broadcast_arrays(r, rp)
     shape = r.shape[:-1]
     r, rp = r.reshape(-1, 3), rp.reshape(-1, 3)
-    z, zp = r[:, 2], rp[:, 2]
-    big_z = z + zp
+    big_z, z_of = np.unique(r[:, 2] + rp[:, 2], return_inverse=True)
     dx, dy = r[:, 0] - rp[:, 0], r[:, 1] - rp[:, 1]
     lateral = np.hypot(dx, dy)
+    rho, rho_of = np.unique(lateral, return_inverse=True)
     phi0 = np.where(lateral > 0.0, np.arctan2(dy, dx), 0.0)
+    groups = _product_groups(z_of, rho_of, len(big_z), len(rho))
     k1 = omega / C
     refl = _reflection_callable(material, omega)
     t_b = _branch_edge(material, omega)
-    edges, split = _contour_edges(
-        np.arcsinh(_EVANESCENT_DECADES / (k1 * big_z)), t_b)
+    edges = _contour_edges(
+        float(np.arcsinh(_EVANESCENT_DECADES / (k1 * big_z[0]))), t_b)
+    n_node = RULES.shape[1]
     pref = 1j / (8.0 * np.pi**2)
-    half_pi = 0.5 * np.pi
 
-    def integrand(x):
-        s, i = np.ascontiguousarray(x["s"]), x["i"]
-        sp = split[i]
-        theta = np.where(sp, s + (1.0 + 1.5 * np.pi), s)
-        prop = theta < half_pi
-        below = sp & (s < -1.0)
-        square = sp & (s >= -1.0) & (s <= 0.0)
-        v, u = s + (1.0 + np.pi), s + 1.0
-        t = np.where(below, t_b * np.sin(0.5 * v) ** 2,
-                     np.where(square, t_b + u * u, np.where(sp, s, s - half_pi)))
-        dt = np.where(below, 0.5 * t_b * np.sin(v), np.where(square, 2.0 * u, 1.0))
-        k_par = np.where(prop, k1 * np.sin(theta), k1 * np.cosh(t))
-        k_z = np.where(prop, k1 * np.cos(theta), 1j * k1 * np.sinh(t))
-        # contour jacobian k_par dk_par / k_z: k_par for theta, -i k_par dt/ds
-        # for the evanescent segments
-        jac = np.where(prop, pref * k_par, -1j * pref * k_par * dt)
-        return _angular_components(k_par, k_z, k1, big_z[i], lateral[i], refl,
-                                   jac)
+    def integrand(s):
+        n_pan = s.size // n_node
+        k_par, k_z, jac = _contour_point(s, k1, t_b)
+        # rows (Z, rule) and columns (rho, column) of each panel's product
+        rows = (np.exp(1j * k_z.reshape(n_pan, 1, n_node) * big_z[:, None])
+                * (np.pi * pref * jac).reshape(n_pan, 1, n_node))
+        rows = rows[:, :, None, :] * RULES
+        b0, b1, b2 = _bessel_j012(k_par.reshape(n_pan, n_node, 1) * rho)
+        cols = (np.stack([b0, b2, b0, b1], axis=-1)
+                * _kernel_columns(k_par, k_z, k1, refl).reshape(n_pan, n_node,
+                                                                1, 4))
+        sums = np.empty((2, n_pan, len(z_of), 4), dtype=complex)
+        for zs, rhos, members, z_in, rho_in in groups:
+            a, b = rows[:, zs], cols[:, :, rhos]
+            prod = (a.reshape(n_pan, -1, n_node) @ b.reshape(n_pan, n_node, -1))
+            prod = prod.reshape(n_pan, a.shape[1], 2, b.shape[2], 4)
+            sums[:, :, members] = prod.transpose(2, 0, 1, 3, 4)[:, :, z_in, rho_in]
+        return _five(sums)
 
     comps, err = adaptive_quad_vec(integrand, *edges, rtol=rtol,
                                    max_panels=max_panels)

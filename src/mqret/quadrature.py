@@ -10,10 +10,13 @@ panels in one integrand call. Refinement stops when every component meets an
 absolute-plus-relative tolerance; the achieved error estimate is returned
 alongside the integral so callers (and tests) can consume it.
 
-Several independent integrals can run together. Each keeps its own panels,
-tolerance and panel budget, and its sums run over its own panels in a fixed
-order, so its result does not depend on which integrals share the run; one
-round evaluates the new panels of every unconverged integral in one call.
+Several integrals can share one run and one panel set. Each keeps its own
+tolerance, its own error estimate on the shared panels and its own
+rounding-floor exit, and its result is the one of the round in which it
+converged. A round bisects the union of the panels that each unconverged
+integral would bisect on its own. An integrand that can reduce a panel more
+cheaply than node by node (see :mod:`mqret.greens`) returns the two rule
+sums of each panel itself, with the weights :data:`RULES`.
 """
 
 import numpy as np
@@ -57,156 +60,136 @@ _WG_HALF = (
 _XK = np.array([-x for x in _XK_HALF] + [0.0] + list(_XK_HALF[::-1]))
 _WK = np.array(list(_WK_HALF) + [_WK_CENTRE] + list(_WK_HALF[::-1]))
 _WG = np.array(list(_WG_HALF) + list(_WG_HALF[::-1]))
-# both rules as rows over the Kronrod nodes, G10 zero off the Gauss nodes
-_W = np.stack([_WK, np.zeros_like(_WK)])
-_W[1, 1::2] = _WG
-
-
-# one integrand node of a batch: abscissa ``s`` and integral index ``i``
-NODE = np.dtype([("s", float), ("i", np.intp)])
+# both rules as rows over the Kronrod nodes: K21, then G10 (zero off the
+# Gauss nodes)
+RULES = np.stack([_WK, np.zeros_like(_WK)])
+RULES[1, 1::2] = _WG
 
 # rounding level of a sum of panels, relative to the sum of their moduli
 # (QUADPACK's qk21 floors a panel's error at 50 eps sum |w f|)
 _NOISE = 50.0 * np.finfo(float).eps
 
 
-def _panels(f, lo, hi, owner=None):
+def _panels(f, lo, hi):
     """K21 values and |K21 - G10| errors of the panels [lo_i, hi_i].
 
     All panels are evaluated in one call of ``f`` on their 21 * len(lo)
-    nodes: plain abscissae, or, given the integral index ``owner`` of each
-    panel, a :data:`NODE` array. Both results have shape
-    ``(len(lo),) + f(x).shape[1:]``.
+    nodes. ``f`` returns the values at the nodes, shape ``(x.size,) + S``,
+    or the rule sums of each panel, shape ``(2, len(lo)) + S`` (K21 then
+    G10 with the weights :data:`RULES` on the panel's nodes in order, not
+    yet scaled by its half-width). Both results have shape
+    ``(len(lo),) + S``.
     """
+    n = len(lo)
     h = 0.5 * (hi - lo)
     x = ((0.5 * (lo + hi))[:, None] + h[:, None] * _XK).ravel()
-    if owner is not None:
-        nodes = np.empty(x.size, dtype=NODE)
-        nodes["s"] = x
-        nodes["i"] = np.repeat(owner, _XK.size)
-        x = nodes
     fx = np.asarray(f(x))
-    shape = (len(lo),) + fx.shape[1:]
-    fx = np.ascontiguousarray(fx, dtype=complex if np.iscomplexobj(fx) else float)
-    # both rules over real and imaginary parts of all components at once
-    sums = np.einsum("jk,pkc->jpc", _W,
-                     fx.reshape(len(lo), _XK.size, -1).view(float))
-    kron, gauss = sums.view(fx.dtype).reshape((2,) + shape)
-    h = h.reshape((len(lo),) + (1,) * (len(shape) - 1))
-    kron = h * kron
-    return kron, np.abs(kron - h * gauss)
-
-
-def _row_sum(a):
-    """Sum over axis 1, added up in panel order so that each row's sum
-    depends on that row alone (padding zeros leave it unchanged)."""
-    return np.cumsum(a, axis=1)[:, -1]
-
-
-def _widen(a, width):
-    """``a`` padded with zeros along axis 1 to ``width`` columns."""
-    out = np.zeros((a.shape[0], width) + a.shape[2:], dtype=a.dtype)
-    out[:, :a.shape[1]] = a
-    return out
+    if fx.shape[0] == x.size:
+        shape = fx.shape[1:]
+        fx = np.ascontiguousarray(
+            fx, dtype=complex if np.iscomplexobj(fx) else float)
+        # both rules over real and imaginary parts of all components at once
+        sums = np.einsum("jk,pkc->jpc", RULES,
+                         fx.reshape(n, _XK.size, -1).view(float))
+        sums = sums.view(fx.dtype).reshape((2, n) + shape)
+    elif fx.shape[:2] == (2, n):
+        sums = fx
+    else:
+        raise ValueError(f"integrand returned shape {fx.shape} for "
+                         f"{x.size} nodes of {n} panels")
+    h = h.reshape((n,) + (1,) * (sums.ndim - 2))
+    kron = h * sums[0]
+    return kron, np.abs(kron - h * sums[1])
 
 
 def adaptive_quad_vec(f, a, b, rtol=1e-9, atol=0.0, max_panels=4000):
-    """Integrate ``f`` (mapping a 1-D array of abscissae to shape ``(n, m)``
-    complex values) over [a, b].
+    """Integrate ``f`` over [a, b].
+
+    ``f`` maps a 1-D array of abscissae, 21 per panel and panel after
+    panel, to the values there, shape ``(x.size,) + S``, or to the rule
+    sums of each panel (see :func:`_panels`). With S = () or (m,) that is
+    one integral of m components; with S = (N, m) it is N integrals over
+    the same panels, each with its own tolerance.
 
     ``a`` and ``b`` may also be equal-length sequences: the integral then
     runs over the union of the panels [a_i, b_i], which start out separate,
     so a kink or a change of variable at a shared edge stays on a panel
     boundary.
 
-    With 2-D ``a`` and ``b`` of shape ``(N, P)``, N independent integrals
-    run together, integral i over the panels [a[i, j], b[i, j]]. ``f`` then
-    receives a :data:`NODE` array, whose field ``s`` holds the abscissae and
-    ``i`` the index of the integral each node belongs to, and the results
-    gain a leading axis of length N.
-
-    Returns ``(integral, error)`` with per-component error estimates. The
-    per-component tolerance of each integral is
-    ``atol + rtol * max|integral|``. No integral holds more than
-    ``max_panels`` panels. :class:`QuadratureError`, carrying the relative
-    ``estimate``, is raised when an integral exhausts that budget, or at
-    once when its error estimate stops falling at rounding level: a round
-    fails to halve it while it lies below 50 eps sum|panel|.
+    Returns ``(integral, error)``, both of shape S, with per-component
+    error estimates. The per-component tolerance of each integral is
+    ``atol + rtol * max|integral|``. The run holds at most ``max_panels``
+    panels. :class:`QuadratureError`, carrying the relative ``estimate``,
+    is raised when an unconverged integral meets that budget, or at once
+    when its error estimate stops falling at rounding level: a round fails
+    to halve it while it lies below 50 eps sum|panel|.
     """
-    lo, hi = np.broadcast_arrays(np.asarray(a, dtype=float),
-                                 np.asarray(b, dtype=float))
-    batch = lo.ndim == 2
-    if not batch:
-        lo, hi = np.atleast_1d(lo)[None], np.atleast_1d(hi)[None]
-    if lo.ndim != 2 or lo.shape[1] == 0 or not np.all(hi > lo):
+    lo, hi = np.broadcast_arrays(np.atleast_1d(np.asarray(a, dtype=float)),
+                                 np.atleast_1d(np.asarray(b, dtype=float)))
+    if lo.ndim != 1:
+        raise ValueError("panel edges must be scalars or 1-D sequences")
+    if not np.all(hi > lo):
         raise ValueError("integration interval must have b > a")
-    n_int, width = lo.shape
-    ids = np.arange(n_int)   # integral index of each working row
-    val, err = _panels(f, lo.ravel(), hi.ravel(),
-                       np.repeat(ids, width) if batch else None)
-    val = val.reshape((n_int, width) + val.shape[1:])
-    err = err.reshape(val.shape)
     lo, hi = lo.copy(), hi.copy()
-    count = np.full(n_int, width)
+    val, err = _panels(f, lo, hi)
+    shape = val.shape[1:]
+    # as (panel, integral, component)
+    per_panel = (len(lo), shape[0] if len(shape) == 2 else 1, -1)
+    val, err = val.reshape(per_panel), err.reshape(per_panel)
+    n_int = val.shape[1]
+    live = np.ones(n_int, dtype=bool)
     prev = np.full(n_int, np.inf)   # worst error of the previous round
-    out_val = np.empty((n_int,) + val.shape[2:], dtype=val.dtype)
+    out_val = np.empty(val.shape[1:], dtype=val.dtype)
     out_err = np.empty(out_val.shape)
     while True:
-        total, toterr = _row_sum(val), _row_sum(err)
-        scale = np.abs(total).reshape(len(ids), -1).max(axis=1)
+        total, toterr = val.sum(axis=0), err.sum(axis=0)
+        scale = np.abs(total).max(axis=1)
         tol = atol + rtol * scale
-        worst = toterr.reshape(len(ids), -1).max(axis=1)
-        done = worst <= tol
-        out_val[ids[done]], out_err[ids[done]] = total[done], toterr[done]
-        if done.all():
-            return (out_val, out_err) if batch else (out_val[0], out_err[0])
-        stalled = ~done & (worst > 0.5 * prev)
+        worst = toterr.max(axis=1)
+        done = live & (worst <= tol)
+        out_val[done], out_err[done] = total[done], toterr[done]
+        live &= ~done
+        if not live.any():
+            return out_val.reshape(shape), out_err.reshape(shape)
+        stalled = live & (worst > 0.5 * prev)
         if stalled.any():
-            noise = _row_sum(np.abs(val[stalled])).reshape(stalled.sum(), -1)
-            stalled[stalled] = worst[stalled] < _NOISE * noise.max(axis=1)
-        room = max_panels - count
-        failed = ~done & (stalled | (room <= 0))
-        if failed.any():
-            k = int(np.argmax(failed))
+            noise = np.abs(val[:, stalled]).sum(axis=0).max(axis=1)
+            stalled[stalled] = worst[stalled] < _NOISE * noise
+        room = max_panels - len(lo)
+        if stalled.any() or room <= 0:
+            k = int(np.argmax(stalled if stalled.any() else live))
             rel = worst[k] / max(scale[k], 1e-300)
             why = ("stopped falling at rounding level" if stalled[k]
                    else "exhausted the panel budget")
             raise QuadratureError(
                 f"adaptive quadrature did not converge: error estimate "
-                f"{rel:.3e} (relative) {why} after {count[k]} panels",
+                f"{rel:.3e} (relative) {why} after {len(lo)} panels",
                 estimate=rel,
             )
-        # keep only the unconverged integrals
-        keep = ~done
-        if not keep.all():
-            ids, count, room = ids[keep], count[keep], room[keep]
-            lo, hi, val, err = lo[keep], hi[keep], val[keep], err[keep]
-        width = lo.shape[1]
-        prev, slack = worst[keep], (worst - tol / 8.0)[keep]
-        # per integral, worst panels first until their summed error passes
-        # worst - tol/8, in stable order as a lone integral would take them
-        # (zero-error padding sorts after the live panels)
-        live = np.arange(width) < count[:, None]
-        key = err.reshape(len(ids), width, -1).max(axis=2)
-        order = np.argsort(-key, axis=1, kind="stable")
-        covered = np.cumsum(key[np.arange(len(ids))[:, None], order], axis=1)
-        n = 1 + ((covered <= slack[:, None]) & live).sum(axis=1)
-        n = np.minimum(np.minimum(n, count), room)
-        row, rank = np.nonzero(np.arange(width) < n[:, None])
-        col = order[row, rank]
-        left, right = lo[row, col], hi[row, col]
+        prev = worst
+        # per unconverged integral, its worst panels until their summed
+        # error passes worst - tol/8; the round bisects their union
+        key = err[:, live].max(axis=2)
+        desc = -np.sort(-key, axis=0)
+        covered = np.cumsum(desc, axis=0)
+        n = (covered <= (worst - tol / 8.0)[live]).sum(axis=0)
+        pick = (key >= desc[np.minimum(n, len(lo) - 1), np.arange(key.shape[1])]
+                ).any(axis=1)
+        if pick.sum() > room:   # the worst relative to their tolerance first
+            rank = np.where(pick, (key / np.maximum(tol[live], 1e-300)).max(axis=1),
+                            -1.0)
+            pick[:] = False
+            pick[np.argsort(-rank, kind="stable")[:room]] = True
+        idx = np.flatnonzero(pick)
+        left, right = lo[idx], hi[idx]
         mid = 0.5 * (left + right)
-        new_val, new_err = _panels(
-            f, np.concatenate([left, mid]), np.concatenate([mid, right]),
-            np.concatenate([ids[row]] * 2) if batch else None)
+        new_val, new_err = _panels(f, np.concatenate([left, mid]),
+                                   np.concatenate([mid, right]))
+        new_val = new_val.reshape((2 * len(idx),) + val.shape[1:])
+        new_err = new_err.reshape(new_val.shape)
         # the left half replaces its parent, the right half is appended
-        need = int((count + n).max())
-        if need > width:
-            width = max(need, 2 * width)
-            lo, hi, val, err = (_widen(a, width) for a in (lo, hi, val, err))
-        dest = count[row] + rank
-        m = len(row)
-        hi[row, col], val[row, col], err[row, col] = mid, new_val[:m], new_err[:m]
-        lo[row, dest], hi[row, dest] = mid, right
-        val[row, dest], err[row, dest] = new_val[m:], new_err[m:]
-        count = count + n
+        m = len(idx)
+        hi[idx], val[idx], err[idx] = mid, new_val[:m], new_err[:m]
+        lo, hi = np.concatenate([lo, mid]), np.concatenate([hi, right])
+        val = np.concatenate([val, new_val[m:]])
+        err = np.concatenate([err, new_err[m:]])

@@ -107,8 +107,8 @@ def _remember(key, leg):
     """Keep ``leg`` = (G_AD, err) under ``key`` as the most recent entry.
 
     The key is everything the tensor depends on, and the tensor depends on
-    nothing else (it is the same whichever batch it was evaluated in), so a
-    hit returns exactly what a fresh evaluation would. The kept tensor is
+    nothing else (it is always evaluated on its own, never in a batch), so
+    a hit returns exactly what a fresh evaluation would. The kept tensor is
     read-only because every hit shares it.
     """
     leg[0].flags.writeable = False
@@ -137,12 +137,15 @@ def _coupling(env, r_a, r_d, omega, mediator=None, method="auto", rtol=1e-9,
     bounds the Frobenius norm of the error of F, propagated to first and
     second order from the absolute error of each leg. Reciprocity gives
     F(D, M, A) = F(A, M, D)^T, so no rate needs the reversed legs. G_AD
-    comes from the ``_DIRECT_LEGS`` memo; the returned G_AD is read-only.
+    comes from the ``_DIRECT_LEGS`` memo, or on a miss from a tensor call of
+    its own, so that it is the same whatever else the sweep evaluates;
+    threads that miss the same pair at once each evaluate that same tensor.
+    The returned G_AD is read-only.
 
     A mediator position of shape (N, 3) gives the mediated terms and errors
-    of N geometries, with G_AM and G_MD of all N from one tensor call, which
-    also evaluates G_AD when the memo misses it. Threads that miss the same
-    pair at once each evaluate it; the results are bit-identical.
+    of N geometries, with G_AM and G_MD of all N from one tensor call. Its
+    Sommerfeld tensors share one panel set, so each depends, within the
+    quadrature tolerance, on which positions share the call.
     """
     if method == "limits":
         direct, legs, include_phase = "nr", "r", False
@@ -162,34 +165,25 @@ def _coupling(env, r_a, r_d, omega, mediator=None, method="auto", rtol=1e-9,
            float(rtol), bool(include_phase))
     with _DIRECT_LEGS_LOCK:
         leg = _DIRECT_LEGS.get(key)
-    batch = np.shape(mediator.position)[:-1] if mediator is not None else ()
-    # on a miss, G_AD joins the tensor call of the mediator legs if it can
-    fold = leg is None and alpha != 0.0 and direct == legs and include_phase
-    if leg is None and not fold:
+    if leg is None:
         leg = _green(env, np.asarray(r_a, dtype=float),
                      np.asarray(r_d, dtype=float), omega, direct, rtol,
                      include_phase)
+    g_ad, err = _remember(key, leg)
+    batch = np.shape(mediator.position)[:-1] if mediator is not None else ()
     if alpha == 0.0:
-        g_ad, err = _remember(key, leg)
         return g_ad, np.zeros(batch + (3, 3), dtype=complex), err + np.zeros(batch)
     r_m = np.asarray(mediator.position, dtype=float).reshape(-1, 3)
     r_a = np.broadcast_to(np.asarray(r_a, dtype=float), r_m.shape)
     r_d = np.broadcast_to(np.asarray(r_d, dtype=float), r_m.shape)
-    near, far = [r_a, r_m], [r_m, r_d]
-    if fold:
-        near.append(r_a[:1])
-        far.append(r_d[:1])
-    g, e = _green(env, np.concatenate(near), np.concatenate(far), omega, legs,
-                  rtol)
+    g, e = _green(env, np.concatenate([r_a, r_m]), np.concatenate([r_m, r_d]),
+                  omega, legs, rtol)
     e = np.broadcast_to(e, g.shape[:1])
-    if fold:
-        leg = (g[-1].copy(), e[-1])
-    g_ad, err = _remember(key, leg)
     n = len(r_m)
-    g_am, g_md = g[:n].reshape(batch + (3, 3)), g[n:2 * n].reshape(batch + (3, 3))
+    g_am, g_md = g[:n].reshape(batch + (3, 3)), g[n:].reshape(batch + (3, 3))
     e_med = np.zeros(batch)
     if np.any(e):
-        e_am, e_md = e[:n].reshape(batch), e[n:2 * n].reshape(batch)
+        e_am, e_md = e[:n].reshape(batch), e[n:].reshape(batch)
         # ||dA B + A dB + dA dB|| <= ||dA|| ||B|| + ||A|| ||dB|| + ||dA|| ||dB||
         e_med = (e_am * np.sqrt(_norm2(g_md)) + np.sqrt(_norm2(g_am)) * e_md
                  + e_am * e_md)

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad_vec
 
 from mqret.core import QuadratureError
-from mqret.quadrature import NODE, _panels, adaptive_quad_vec
+from mqret.quadrature import RULES, _panels, adaptive_quad_vec
 
 
 def recording(f):
@@ -122,13 +122,14 @@ def test_agrees_with_scipy_quad_vec(a, b, c, lo, width):
 
 
 def batch_integrand(params):
-    """e^{iax}/(1+bx^2) (1, c, i) with row k of ``params`` = (a, b, c) for
-    the nodes of integral k."""
-    def f(x):
-        a, b, c = params[x["i"]].T
-        s = x["s"]
+    """e^{iax}/(1+bx^2) (1, c, i) for each row (a, b, c) of ``params``: one
+    integral per row, shape (nodes, rows, 3)."""
+    a, b, c = np.asarray(params, dtype=float).T
+
+    def f(s):
+        s = s[:, None]
         base = np.exp(1j * a * s) / (1.0 + b * s**2)
-        return base[:, None] * np.stack([np.ones_like(c), c, 1j * np.ones_like(c)], axis=1)
+        return np.stack([base, c * base, 1j * base], axis=-1)
     return f
 
 
@@ -137,34 +138,26 @@ def batch_integrand(params):
                                  st.floats(0.1, 3.0)), min_size=1, max_size=6),
        rtol=st.sampled_from([1e-6, 1e-9, 1e-11]))
 def test_batch_equals_single_runs(params, rtol):
-    """N stacked integrals give what N lone runs give, with the same panels."""
+    """N integrals on one shared panel set each agree with a lone run at
+    rtol 1e-12 within their own rtol, and each error estimate bounds the
+    deviation. The shared run evaluates no more nodes than the lone runs
+    together."""
     params = np.array(params)
     n = len(params)
-    lo = np.tile([-1.0, 0.2], (n, 1))
-    hi = np.tile([0.2, 2.0], (n, 1))
-    f = batch_integrand(params)
-    owners = []
-
-    def tracking(x):
-        owners.append(np.bincount(x["i"], minlength=n))
-        return f(x)
-
-    total, err = adaptive_quad_vec(tracking, lo, hi, rtol=rtol)
-    panels = np.sum(owners, axis=0) // 21
+    lo, hi = [-1.0, 0.2], [0.2, 2.0]
+    f, sizes = recording(batch_integrand(params))
+    total, err = adaptive_quad_vec(f, lo, hi, rtol=rtol)
     assert total.shape == (n, 3) and err.shape == (n, 3)
+    lone_nodes = 0
     for k in range(n):
-        one = batch_integrand(params[k:k + 1])
-
-        def lone(s):
-            x = np.zeros(s.size, dtype=NODE)
-            x["s"] = s
-            return one(x)
-
-        single, sizes = recording(lone)
-        ref, ref_err = adaptive_quad_vec(single, lo[k], hi[k], rtol=rtol)
-        assert np.abs(total[k] - ref).max() <= 1e-14 * np.abs(ref).max()
-        assert np.abs(err[k] - ref_err).max() <= 1e-14 * np.abs(ref).max()
-        assert panels[k] == sum(sizes) // 21
+        one, lone_sizes = recording(lambda s: batch_integrand(params[k:k + 1])(s)[:, 0])
+        adaptive_quad_vec(one, lo, hi, rtol=rtol)
+        lone_nodes += sum(lone_sizes)
+        ref, ref_err = adaptive_quad_vec(one, lo, hi, rtol=1e-12)
+        dev = np.abs(total[k] - ref)
+        assert dev.max() <= rtol * np.abs(ref).max()
+        assert np.all(dev <= err[k] + ref_err)
+    assert sum(sizes) <= lone_nodes
 
 
 def test_tolerance_per_integral():
@@ -172,16 +165,36 @@ def test_tolerance_per_integral():
     small integral beside a large one is resolved to its own rtol."""
     scales = np.array([1.0, 1e-12])
 
-    def f(x):
-        s = x["s"]
-        return (scales[x["i"]] * np.cos(40.0 * s) * np.exp(-s))[:, None] + 0j
+    def f(s):
+        return (scales * (np.cos(40.0 * s) * np.exp(-s))[:, None])[:, :, None] + 0j
 
     exact = scales * (1.0 + 40.0 * np.exp(-2.0) * np.sin(80.0)
                       - np.exp(-2.0) * np.cos(80.0)) / (1.0 + 40.0**2)
-    total, _ = adaptive_quad_vec(f, [[0.0], [0.0]], [[2.0], [2.0]], rtol=1e-10)
+    total, _ = adaptive_quad_vec(f, 0.0, 2.0, rtol=1e-10)
+    assert total.shape == (2, 1)
     assert np.all(np.abs(total[:, 0] - exact) <= 1e-10 * np.abs(exact))
 
 
+def test_panel_sums_equal_node_values():
+    """An integrand may return each panel's K21 and G10 sums itself, with
+    the weights RULES; the run is then the one its node values give."""
+    f = batch_integrand([(3.0, 2.0, 0.5), (-7.0, 30.0, 2.0)])
+
+    def sums(s):
+        return np.einsum("jk,pkic->jpic", RULES, f(s).reshape(-1, 21, 2, 3))
+
+    by_nodes, sizes = recording(f)
+    by_sums, sizes_sums = recording(sums)
+    total, err = adaptive_quad_vec(by_nodes, -1.0, 2.0, rtol=1e-11)
+    total_sums, err_sums = adaptive_quad_vec(by_sums, -1.0, 2.0, rtol=1e-11)
+    assert sizes == sizes_sums
+    assert np.abs(total - total_sums).max() <= 1e-14 * np.abs(total).max()
+
+
 def test_batch_rejects_bad_rows():
+    """Edges must be 1-D, and an integrand must return node values or panel
+    sums: any other leading shape is an error, not a silent misreading."""
     with pytest.raises(ValueError):
-        adaptive_quad_vec(lambda x: x["s"], [[0.0], [1.0]], [[1.0], [1.0]])
+        adaptive_quad_vec(np.cos, [[0.0], [1.0]], [[1.0], [2.0]])
+    with pytest.raises(ValueError):
+        adaptive_quad_vec(lambda s: np.ones((3, s.size // 21)), 0.0, 1.0)

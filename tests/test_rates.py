@@ -248,8 +248,8 @@ class TestDirectLegMemo:
         assert evaluated() == 3
         assert self.rate(self.R_D, 1e-9) == first  # hit: G_AM, G_MD only
         assert evaluated() == 5
-        # a miss evaluates G_AD in the same call as G_AM and G_MD
-        assert [len(call) for call in sommerfeld_geometries] == [3, 2]
+        # a miss evaluates G_AD on its own, then G_AM and G_MD in one call
+        assert [len(call) for call in sommerfeld_geometries] == [1, 2, 2]
         moved = self.R_D + np.array([0.01, 0.0, 0.0]) * LAM
         for r_d, rtol in ((moved, 1e-9), (self.R_D, 1e-10)):
             before = evaluated()
@@ -259,8 +259,8 @@ class TestDirectLegMemo:
             assert got == self.rate(r_d, rtol)
 
     def test_direct_leg_from_a_batch_equals_lone(self):
-        """G_AD evaluated beside the mediator legs is the tensor a lone
-        evaluation gives, bit for bit."""
+        """G_AD kept by a mediated rate is the tensor a mediator-free
+        evaluation gives, bit for bit: it is always evaluated alone."""
         rates._DIRECT_LEGS.clear()
         self.rate(self.R_D, 1e-9)
         (batched, err), = rates._DIRECT_LEGS.values()
@@ -278,8 +278,7 @@ class TestDirectLegMemo:
         """Four threads reading and evicting twelve pairs through an
         eight-entry memo, by rate calls and by direct updates: no lost
         update raises, the memo stays bounded and every G_AD equals a fresh
-        evaluation. Even pairs come with a mediator (G_AD folded into the
-        batched call), odd pairs without."""
+        evaluation. Even pairs come with a mediator, odd pairs without."""
         env = greens.PerfectMirror()
         donors = [self.R_D + np.array([0.01 * k, 0.0, 0.0]) * LAM
                   for k in range(12)]

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -53,7 +54,7 @@ class TestConfig:
     def test_parse_omega(self, tmp_path):
         p = write_config(tmp_path, {"omega_d": 1.5e15})
         cfg = config.load_config(p)
-        del_keys = json.loads(open(p).read())
+        del_keys = json.loads(Path(p).read_text())
         assert "omega_d" in del_keys
         assert cfg.omega == 1.5e15
 
@@ -215,10 +216,26 @@ class TestSweep:
         assert len(set(g_am)) == len(g_am) == len(recs)
         assert set(g_md) == set(g_am) and len(g_md) == len(recs)
 
+    @staticmethod
+    def assert_within_quad_rtol(csv_bytes, ref_bytes, cfg, tmp_path):
+        """The rows of two CSVs agree up to the quadrature tolerance: their
+        chunks differ, and so do the panels their tensors share."""
+        recs = []
+        for name, data in (("got.csv", csv_bytes), ("ref.csv", ref_bytes)):
+            (tmp_path / name).write_bytes(data)
+            recs.append(sweep.read_csv(str(tmp_path / name)))
+        got, ref = recs
+        assert len(got) == len(ref)
+        for a, b in zip(got, ref):
+            assert (a.x_m, a.z_m, a.method, a.flag) == (b.x_m, b.z_m, b.method, b.flag)
+            for key in ("gamma", "gamma_normalized"):
+                x, y = getattr(a, key), getattr(b, key)
+                assert abs(x - y) <= cfg.quad_rtol * abs(y)
+
     def test_map_worker_determinism(self, tmp_path, monkeypatch):
         """Map CSVs are byte-identical whatever the worker count. Chunks of
         4 rows make 3 chunks, so 2 and 3 workers run them on threads that
-        share the G_AD memo; the bytes also match one 12-row chunk."""
+        share the G_AD memo; one 12-row chunk agrees within quad_rtol."""
         p = write_config(tmp_path, DIELECTRIC)
 
         def run(workers):
@@ -233,12 +250,15 @@ class TestSweep:
 
         one_chunk = run(1)
         monkeypatch.setattr(sweep, "_CHUNK_ROWS", 4)
-        assert run(1) == run(2) == run(3) == one_chunk
+        chunked = run(1)
+        assert chunked == run(2) == run(3)
+        self.assert_within_quad_rtol(chunked, one_chunk, config.load_config(p),
+                                     tmp_path)
 
     def test_sweep_z_worker_determinism(self, tmp_path, monkeypatch):
         """sweep-z over a dielectric, both methods: chunks of 4 rows mix
-        limits and exact rows and run on 2 and 3 threads, and the bytes
-        stay the same as one 14-row chunk's."""
+        limits and exact rows and run on 2 and 3 threads with the same
+        bytes, which agree with one 14-row chunk's within quad_rtol."""
         p = write_config(tmp_path, DIELECTRIC)
 
         def run(workers):
@@ -252,7 +272,25 @@ class TestSweep:
 
         one_chunk = run(1)
         monkeypatch.setattr(sweep, "_CHUNK_ROWS", 4)
-        assert run(1) == run(2) == run(3) == one_chunk
+        chunked = run(1)
+        assert chunked == run(2) == run(3)
+        self.assert_within_quad_rtol(chunked, one_chunk, config.load_config(p),
+                                     tmp_path)
+
+    def test_lone_direct_leg_leaves_sweeps_unchanged(self, tmp_path):
+        """A mediator-free rate fills the G_AD memo; an exact sweep that then
+        hits it gives the records of a sweep with an empty memo, since G_AD
+        is always evaluated on its own."""
+        cfg = config.load_config(write_config(tmp_path, DIELECTRIC))
+        spec = sweep.OneDSweep(0.6, 2.0, 9, methods=("exact",))
+        rates._DIRECT_LEGS.clear()
+        rates.rate_isotropic(cfg.d_donor, cfg.d_acceptor, cfg.donor,
+                             cfg.acceptor, cfg.environment, cfg.omega,
+                             method="exact", rtol=cfg.quad_rtol)
+        assert len(rates._DIRECT_LEGS) == 1
+        warm = sweep.sweep_1d(cfg, spec)
+        rates._DIRECT_LEGS.clear()
+        assert sweep.sweep_1d(cfg, spec) == warm
 
     def test_direct_leg_once_per_thread(self, tmp_path, monkeypatch,
                                         sommerfeld_geometries):
@@ -376,6 +414,27 @@ class TestCli:
             assert "--workers" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_parser_is_built_once(self, tmp_path, capsys):
+        """main reuses one parser: each call still gets its own defaults,
+        and an argparse error leaves the next call unaffected."""
+        p = write_config(tmp_path)
+        assert cli.main(["rate", "--config", p]) == 0
+        assert "gamma" in json.loads(capsys.readouterr().out)
+        map_out = tmp_path / "map.json"
+        assert cli.main(["map", "--config", p, "--xmin", "-0.5", "--xmax", "0.5",
+                         "--zmin", "0.5", "--zmax", "1.5", "--nx", "2", "--nz",
+                         "2", "--out", str(map_out), "--format", "json",
+                         "--workers", "2"]) == 0
+        with pytest.raises(SystemExit):
+            cli.main(["sweep-z", "--config", p, "--zmin", "1.0", "--steps", "x"])
+        z_out = tmp_path / "z.csv"
+        assert cli.main(["sweep-z", "--config", p, "--zmin", "1.0", "--zmax",
+                         "2.0", "--steps", "3", "--out", str(z_out)]) == 0
+        assert len(json.loads(map_out.read_text())["records"]) == 4
+        # the defaults: --format csv, --method both
+        assert len(sweep.read_csv(str(z_out))) == 6
+        assert cli._parser() is cli._parser()
+
     def test_green_command(self, capsys):
         rc = cli.main(["green", "--env", "mirror", "--rx", "0.0", "--rz",
                        "0.4", "--rpx", "0.1", "--rpz", "0.5"])
@@ -387,7 +446,7 @@ class TestCli:
         report = str(tmp_path / "verify.json")
         rc = cli.main(["verify", "--json", report])
         assert rc == 0
-        doc = json.loads(open(report).read())
+        doc = json.loads(Path(report).read_text())
         assert all(entry["passed"] for entry in doc)
 
     def test_bad_config_is_diagnosed(self, tmp_path, capsys):
