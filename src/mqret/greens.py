@@ -21,10 +21,11 @@ converge geometrically. The segment table is in :func:`_contour_edges`.
 
 Every tensor function takes points of shape (..., 3), broadcast against each
 other, and returns tensors of shape (..., 3, 3), one per geometry. The
-Sommerfeld evaluator integrates all geometries on one contour and one shared
-adaptive panel set, each to its own tolerance, and evaluates the phase
-e^{i k_z Z} once per distinct Z = z + z' and the Bessel functions once per
-distinct lateral distance (see :func:`halfspace_scatter_full`).
+Sommerfeld evaluator integrates the geometries of a batch on one contour and
+one shared adaptive panel set, each to its own tolerance, and evaluates the
+phase e^{i k_z Z} once per distinct Z = z + z' and the Bessel functions once
+per distinct lateral distance; a batch of scattered points runs in blocks of
+neighbouring heights (see :func:`halfspace_scatter_full`).
 """
 
 from dataclasses import dataclass, field
@@ -334,26 +335,63 @@ def _contour_point(s, k1, t_b):
     return k_par, k_z, np.where(prop, k_par, -1j * k_par * dt)
 
 
-def _product_groups(z_of, rho_of, n_z, n_rho):
-    """How to contract the panels of a batch: a list of ``(zs, rhos,
-    members, z_in, rho_in)``, one matrix product over the heights ``zs`` and
-    lateral offsets ``rhos`` per entry, whose entry ``(z_in, rho_in)`` is
-    the value of geometry ``members``.
+# A batch is reduced by one matrix product over its distinct heights Z and
+# lateral offsets rho while it has at most _PRODUCT_RATIO distinct (Z, rho)
+# combinations per geometry; a map or a z-sweep has one or two. Scattered
+# points, where nearly every geometry has its own Z and rho, each multiply
+# their own phase and Bessel terms instead, and run in blocks of at most
+# _BLOCK geometries adjacent in Z, so that none is evaluated on the panels
+# that only a far lower one needs. Both values come from the timings in
+# BENCH_7.json ("probes").
+_PRODUCT_RATIO = 8
+_BLOCK = 32
 
-    With few distinct (Z, rho) pairs for the batch (a map or a z-sweep) one
-    product covers them all. Otherwise, with nearly every geometry at its
-    own Z and rho, that product would grow as the square of the batch, so
-    there is one product per height, over that height's offsets only."""
-    if n_z * n_rho <= 16 * len(z_of):
-        full = slice(None)
-        return [(full, full, full, z_of, rho_of)]
-    groups = []
-    for j in range(n_z):
-        members = np.flatnonzero(z_of == j)
-        rhos, rho_in = np.unique(rho_of[members], return_inverse=True)
-        groups.append(([j], rhos, members, np.zeros(len(members), dtype=int),
-                       rho_in))
-    return groups
+
+def _shares_terms(big_z, lateral):
+    """Whether a batch has few enough distinct (Z, rho) for one product."""
+    return (len(np.unique(big_z)) * len(np.unique(lateral))
+            <= _PRODUCT_RATIO * len(big_z))
+
+
+def _sommerfeld_run(z_sum, lateral, k1, refl, t_b, rtol, max_panels):
+    """Components (xx, yy, zz, xz, zx) of the geometries (Z, rho) of one
+    shared adaptive run, shape (n, 5), and their error estimates."""
+    from .quadrature import RULES, adaptive_quad_vec
+
+    big_z, z_of = np.unique(z_sum, return_inverse=True)
+    rho, rho_of = np.unique(lateral, return_inverse=True)
+    product = _shares_terms(z_sum, lateral)
+    edges = _contour_edges(
+        float(np.arcsinh(_EVANESCENT_DECADES / (k1 * big_z[0]))), t_b)
+    n_node = RULES.shape[1]
+    pref = 1j / (8.0 * np.pi**2)
+
+    def integrand(s):
+        n_pan = s.size // n_node
+        k_par, k_z, jac = (v.reshape(n_pan, n_node, 1)
+                           for v in _contour_point(s, k1, t_b))
+        # phase (panel, node, Z) and Bessel terms (panel, node, rho)
+        phase = np.exp(1j * k_z * big_z) * (np.pi * pref * jac)
+        b0, b1, b2 = _bessel_j012(k_par * rho)
+        # (panel, node, rho, column)
+        cols = (np.stack([b0, b2, b0, b1], axis=-1)
+                * _kernel_columns(k_par, k_z, k1, refl))
+        if product:
+            # per panel (Z, rule) x (rho, column), then each geometry's entry
+            rows = phase.transpose(0, 2, 1)[:, :, None, :] * RULES
+            prod = (rows.reshape(n_pan, -1, n_node)
+                    @ cols.reshape(n_pan, n_node, -1))
+            prod = prod.reshape(n_pan, len(big_z), 2, len(rho), 4)
+            sums = prod.transpose(2, 0, 1, 3, 4)[:, :, z_of, rho_of]
+        else:
+            pair = (np.take(phase, z_of, axis=2)[..., None]
+                    * np.take(cols, rho_of, axis=2))
+            sums = (RULES @ pair.reshape(n_pan, n_node, -1)).reshape(
+                n_pan, 2, len(z_of), 4).transpose(1, 0, 2, 3)
+        return _five(sums)
+
+    return adaptive_quad_vec(integrand, *edges, rtol=rtol,
+                             max_panels=max_panels)
 
 
 def halfspace_scatter_full(r, r_prime, omega, material, rtol=1e-9,
@@ -378,60 +416,46 @@ def halfspace_scatter_full(r, r_prime, omega, material, rtol=1e-9,
     A batch of points shares one contour and one adaptive panel set, each
     geometry with its own tolerance against its own magnitude. The tail is
     cut where kappa (z+z') = 40 for the lowest geometry; past its own
-    cut-off a higher one adds terms below e^-40. The integrand depends on a
-    geometry only through e^{i k_z Z}, Z = z + z', and the Bessel functions
-    of k_par rho, rho the lateral distance. So the per-node terms are
-    evaluated once per node, the phase once per distinct Z and the Bessel
-    functions once per distinct rho, and each panel is reduced by its K21
-    and G10 weights as a matrix product over (Z, rule) and (rho, column),
-    from which each geometry takes its (Z, rho) entry. The largest arrays
-    run over nodes and distinct Z or distinct rho, never over nodes and
-    geometries (:func:`_product_groups`).
+    cut-off a higher one adds terms below e^-40. The integrand depends on
+    a geometry only through e^{i k_z Z}, Z = z + z', and the Bessel
+    functions of k_par rho, rho the lateral distance. So the per-node terms
+    are evaluated once per node, the phase once per distinct Z and the
+    Bessel functions once per distinct rho. When the batch has at most
+    ``_PRODUCT_RATIO`` distinct (Z, rho) combinations per geometry (a map,
+    a z-sweep), each panel is reduced by its K21 and G10 weights as a matrix
+    product over (Z, rule) and (rho, column), from which each geometry takes
+    its (Z, rho) entry. Otherwise (scattered points) each geometry
+    multiplies its own phase and Bessel terms, 21 nodes by 4 columns per
+    panel, and the batch runs in blocks of at most ``_BLOCK`` geometries
+    adjacent in Z, each with its own contour and panel set, so that no
+    geometry is refined where only a far lower one needs it. Either way the
+    largest array holds at most 84 entries per geometry and panel (the
+    product 8 ``_PRODUCT_RATIO`` = 64).
 
     Returns ``(tensor, relative_error_estimate)``; for points of shape
     (..., 3) the estimate has shape (...).
     """
-    from .quadrature import RULES, adaptive_quad_vec
-
     r, rp, _, _ = _heights(r, r_prime)
     r, rp = np.broadcast_arrays(r, rp)
     shape = r.shape[:-1]
     r, rp = r.reshape(-1, 3), rp.reshape(-1, 3)
-    big_z, z_of = np.unique(r[:, 2] + rp[:, 2], return_inverse=True)
+    z_sum = r[:, 2] + rp[:, 2]
     dx, dy = r[:, 0] - rp[:, 0], r[:, 1] - rp[:, 1]
     lateral = np.hypot(dx, dy)
-    rho, rho_of = np.unique(lateral, return_inverse=True)
     phi0 = np.where(lateral > 0.0, np.arctan2(dy, dx), 0.0)
-    groups = _product_groups(z_of, rho_of, len(big_z), len(rho))
+    if _shares_terms(z_sum, lateral):
+        blocks = [slice(None)]
+    else:
+        order = np.argsort(z_sum, kind="stable")
+        blocks = np.array_split(order, -(-len(order) // _BLOCK))
     k1 = omega / C
     refl = _reflection_callable(material, omega)
     t_b = _branch_edge(material, omega)
-    edges = _contour_edges(
-        float(np.arcsinh(_EVANESCENT_DECADES / (k1 * big_z[0]))), t_b)
-    n_node = RULES.shape[1]
-    pref = 1j / (8.0 * np.pi**2)
-
-    def integrand(s):
-        n_pan = s.size // n_node
-        k_par, k_z, jac = _contour_point(s, k1, t_b)
-        # rows (Z, rule) and columns (rho, column) of each panel's product
-        rows = (np.exp(1j * k_z.reshape(n_pan, 1, n_node) * big_z[:, None])
-                * (np.pi * pref * jac).reshape(n_pan, 1, n_node))
-        rows = rows[:, :, None, :] * RULES
-        b0, b1, b2 = _bessel_j012(k_par.reshape(n_pan, n_node, 1) * rho)
-        cols = (np.stack([b0, b2, b0, b1], axis=-1)
-                * _kernel_columns(k_par, k_z, k1, refl).reshape(n_pan, n_node,
-                                                                1, 4))
-        sums = np.empty((2, n_pan, len(z_of), 4), dtype=complex)
-        for zs, rhos, members, z_in, rho_in in groups:
-            a, b = rows[:, zs], cols[:, :, rhos]
-            prod = (a.reshape(n_pan, -1, n_node) @ b.reshape(n_pan, n_node, -1))
-            prod = prod.reshape(n_pan, a.shape[1], 2, b.shape[2], 4)
-            sums[:, :, members] = prod.transpose(2, 0, 1, 3, 4)[:, :, z_in, rho_in]
-        return _five(sums)
-
-    comps, err = adaptive_quad_vec(integrand, *edges, rtol=rtol,
-                                   max_panels=max_panels)
+    comps = np.empty((len(z_sum), 5), dtype=complex)
+    err = np.empty(comps.shape)
+    for block in blocks:
+        comps[block], err[block] = _sommerfeld_run(
+            z_sum[block], lateral[block], k1, refl, t_b, rtol, max_panels)
     scale = np.maximum(np.abs(comps).max(axis=1), 1e-300)
     g = _assemble(comps, phi0).reshape(shape + (3, 3))
     rel = (err.max(axis=1) / scale).reshape(shape)

@@ -14,9 +14,10 @@ Several integrals can share one run and one panel set. Each keeps its own
 tolerance, its own error estimate on the shared panels and its own
 rounding-floor exit, and its result is the one of the round in which it
 converged. A round bisects the union of the panels that each unconverged
-integral would bisect on its own. An integrand that can reduce a panel more
-cheaply than node by node (see :mod:`mqret.greens`) returns the two rule
-sums of each panel itself, with the weights :data:`RULES`.
+integral would bisect on its own. The integrand reduces each panel itself:
+it returns the two rule sums of every panel, with the weights :data:`RULES`,
+which lets it contract the nodes of a panel however is cheapest (see
+:mod:`mqret.greens`).
 """
 
 import numpy as np
@@ -69,34 +70,26 @@ RULES[1, 1::2] = _WG
 # (QUADPACK's qk21 floors a panel's error at 50 eps sum |w f|)
 _NOISE = 50.0 * np.finfo(float).eps
 
+# lone panel budgets that a shared panel set may hold
+_SHARED_BUDGETS = 4
+
 
 def _panels(f, lo, hi):
     """K21 values and |K21 - G10| errors of the panels [lo_i, hi_i].
 
     All panels are evaluated in one call of ``f`` on their 21 * len(lo)
-    nodes. ``f`` returns the values at the nodes, shape ``(x.size,) + S``,
-    or the rule sums of each panel, shape ``(2, len(lo)) + S`` (K21 then
-    G10 with the weights :data:`RULES` on the panel's nodes in order, not
-    yet scaled by its half-width). Both results have shape
-    ``(len(lo),) + S``.
+    nodes, panel after panel. ``f`` returns the rule sums of each panel,
+    shape ``(2, len(lo)) + S``: K21 then G10 with the weights :data:`RULES`
+    on the panel's nodes in order, not yet scaled by its half-width. Both
+    results have shape ``(len(lo),) + S``.
     """
     n = len(lo)
     h = 0.5 * (hi - lo)
     x = ((0.5 * (lo + hi))[:, None] + h[:, None] * _XK).ravel()
-    fx = np.asarray(f(x))
-    if fx.shape[0] == x.size:
-        shape = fx.shape[1:]
-        fx = np.ascontiguousarray(
-            fx, dtype=complex if np.iscomplexobj(fx) else float)
-        # both rules over real and imaginary parts of all components at once
-        sums = np.einsum("jk,pkc->jpc", RULES,
-                         fx.reshape(n, _XK.size, -1).view(float))
-        sums = sums.view(fx.dtype).reshape((2, n) + shape)
-    elif fx.shape[:2] == (2, n):
-        sums = fx
-    else:
-        raise ValueError(f"integrand returned shape {fx.shape} for "
-                         f"{x.size} nodes of {n} panels")
+    sums = np.asarray(f(x))
+    if sums.shape[:2] != (2, n):
+        raise ValueError(f"integrand returned shape {sums.shape} for {n} "
+                         f"panels; expected (2, {n}, ...)")
     h = h.reshape((n,) + (1,) * (sums.ndim - 2))
     kron = h * sums[0]
     return kron, np.abs(kron - h * sums[1])
@@ -106,10 +99,10 @@ def adaptive_quad_vec(f, a, b, rtol=1e-9, atol=0.0, max_panels=4000):
     """Integrate ``f`` over [a, b].
 
     ``f`` maps a 1-D array of abscissae, 21 per panel and panel after
-    panel, to the values there, shape ``(x.size,) + S``, or to the rule
-    sums of each panel (see :func:`_panels`). With S = () or (m,) that is
-    one integral of m components; with S = (N, m) it is N integrals over
-    the same panels, each with its own tolerance.
+    panel, to the rule sums of each panel, shape ``(2, panels) + S`` (see
+    :func:`_panels`). With S = () or (m,) that is one integral of m
+    components; with S = (N, m) it is N integrals over the same panels,
+    each with its own tolerance.
 
     ``a`` and ``b`` may also be equal-length sequences: the integral then
     runs over the union of the panels [a_i, b_i], which start out separate,
@@ -119,10 +112,12 @@ def adaptive_quad_vec(f, a, b, rtol=1e-9, atol=0.0, max_panels=4000):
     Returns ``(integral, error)``, both of shape S, with per-component
     error estimates. The per-component tolerance of each integral is
     ``atol + rtol * max|integral|``. The run holds at most ``max_panels``
-    panels. :class:`QuadratureError`, carrying the relative ``estimate``,
-    is raised when an unconverged integral meets that budget, or at once
-    when its error estimate stops falling at rounding level: a round fails
-    to halve it while it lies below 50 eps sum|panel|.
+    panels for one integral, and min(N, ``_SHARED_BUDGETS``) = min(N, 4)
+    times as many for N integrals, whose union may need more panels than
+    any one of them alone. :class:`QuadratureError`, carrying the relative
+    ``estimate``, is raised when an unconverged integral meets that budget,
+    or at once when its error estimate stops falling at rounding level: a
+    round fails to halve it while it lies below 50 eps sum|panel|.
     """
     lo, hi = np.broadcast_arrays(np.atleast_1d(np.asarray(a, dtype=float)),
                                  np.atleast_1d(np.asarray(b, dtype=float)))
@@ -137,6 +132,7 @@ def adaptive_quad_vec(f, a, b, rtol=1e-9, atol=0.0, max_panels=4000):
     per_panel = (len(lo), shape[0] if len(shape) == 2 else 1, -1)
     val, err = val.reshape(per_panel), err.reshape(per_panel)
     n_int = val.shape[1]
+    budget = max_panels * min(n_int, _SHARED_BUDGETS)
     live = np.ones(n_int, dtype=bool)
     prev = np.full(n_int, np.inf)   # worst error of the previous round
     out_val = np.empty(val.shape[1:], dtype=val.dtype)
@@ -155,7 +151,7 @@ def adaptive_quad_vec(f, a, b, rtol=1e-9, atol=0.0, max_panels=4000):
         if stalled.any():
             noise = np.abs(val[:, stalled]).sum(axis=0).max(axis=1)
             stalled[stalled] = worst[stalled] < _NOISE * noise
-        room = max_panels - len(lo)
+        room = budget - len(lo)
         if stalled.any() or room <= 0:
             k = int(np.argmax(stalled if stalled.any() else live))
             rel = worst[k] / max(scale[k], 1e-300)

@@ -280,6 +280,40 @@ class TestBatchedSommerfeld:
         mat = self.LOSSY_METAL if lossy_metal else media.Constant(2.25)
         assert_batch_within_tolerance(r, rp, mat, 1e-9)
 
+    def test_hard_near_surface_batch_shares_a_larger_budget(self):
+        """Near-surface pairs at rho/(z + z') of 300-475 need 1,100-1,760
+        panels each alone and about 2,150 together. Each converges alone
+        within max_panels = 1,900, and so does the batch, within the
+        tolerance of the lone runs."""
+        rng = np.random.default_rng(7)
+        n = 4
+        big_z = rng.uniform(0.004, 0.01, n)
+        r = np.stack([rng.uniform(300.0, 500.0, n) * big_z, np.zeros(n),
+                      big_z / 2], axis=1) * LAM
+        rp = np.stack([np.zeros(n), np.zeros(n), big_z / 2], axis=1) * LAM
+        mat = media.Constant(2.25)
+        g, err = greens.halfspace_scatter_full(r, rp, OMEGA, mat,
+                                               max_panels=1900)
+        for k in range(n):
+            ref, ref_err = greens.halfspace_scatter_full(r[k], rp[k], OMEGA,
+                                                         mat, max_panels=1900)
+            dev = np.abs(g[k] - ref).max() / np.abs(ref).max()
+            assert err[k] <= 1e-9 and dev <= err[k] + ref_err
+
+    @pytest.mark.parametrize("ratio", [0, np.inf])
+    def test_product_and_per_geometry_contractions_agree(self, monkeypatch,
+                                                         ratio):
+        """The same batch reduced by the (Z, rho) product in one run, or
+        geometry by geometry in blocks of 3: every tensor within its
+        tolerance of the lone reference."""
+        monkeypatch.setattr(greens, "_PRODUCT_RATIO", ratio)
+        monkeypatch.setattr(greens, "_BLOCK", 3)
+        z = np.array([0.3, 0.3, 1.1, 1.1, 2.0, 2.0, 0.05])
+        r = np.stack([[0.0, 0.4, 0.0, 0.4, 0.0, 0.4, 0.02], np.zeros(7), z],
+                     axis=1) * LAM
+        rp = np.tile([0.0, 0.0, 0.04], (7, 1)) * LAM
+        assert_batch_within_tolerance(r, rp, media.Constant(2.25), 1e-9)
+
     def test_rounding_floor_fails_fast(self, monkeypatch):
         """Below the rounding floor of |K21 - G10| the evaluator raises at
         once instead of spending its 4000-panel budget."""

@@ -7,6 +7,16 @@ from mqret.core import QuadratureError
 from mqret.quadrature import RULES, _panels, adaptive_quad_vec
 
 
+def by_nodes(f):
+    """``f``, which returns the values at the nodes, as an integrand that
+    returns the K21 and G10 sums of each panel (weights RULES)."""
+    def sums(x):
+        fx = np.asarray(f(x))
+        return np.einsum("jk,pk...->jp...", RULES,
+                         fx.reshape((-1, RULES.shape[1]) + fx.shape[1:]))
+    return sums
+
+
 def recording(f):
     """``f`` wrapped so that the node count of every call is kept."""
     sizes = []
@@ -19,13 +29,14 @@ def recording(f):
 
 
 def test_polynomial_exact():
-    total, err = adaptive_quad_vec(lambda x: x**3 + 1.0, 0.0, 2.0)
+    total, err = adaptive_quad_vec(by_nodes(lambda x: x**3 + 1.0), 0.0, 2.0)
     assert total == pytest.approx(6.0, rel=1e-13)
     assert err < 1e-10
 
 
 def test_kronrod_rule_exact_to_degree_31():
-    val, _ = _panels(lambda x: x**31, np.array([0.0]), np.array([1.0]))
+    val, _ = _panels(by_nodes(lambda x: x**31), np.array([0.0]),
+                     np.array([1.0]))
     assert val[0] == pytest.approx(1.0 / 32.0, rel=1e-14, abs=0.0)
 
 
@@ -34,7 +45,7 @@ def test_gauss_rule_exact_to_degree_19():
     panel error estimate |K21 - G10| is rounding only."""
     coeffs = np.random.default_rng(5).uniform(-1.0, 1.0, 20)
     poly = np.polynomial.Polynomial(coeffs)
-    val, err = _panels(poly, np.array([-0.5]), np.array([1.5]))
+    val, err = _panels(by_nodes(poly), np.array([-0.5]), np.array([1.5]))
     exact = poly.integ()(1.5) - poly.integ()(-0.5)
     assert val[0] == pytest.approx(exact, rel=1e-14, abs=0.0)
     assert err[0] <= 1e-14 * abs(val[0])
@@ -44,22 +55,22 @@ def test_vector_valued_complex():
     def f(x):
         return np.stack([np.exp(1j * x), np.cos(x) + 0j], axis=-1)
 
-    total, _ = adaptive_quad_vec(f, 0.0, np.pi, rtol=1e-11)
+    total, _ = adaptive_quad_vec(by_nodes(f), 0.0, np.pi, rtol=1e-11)
     assert total[0] == pytest.approx((np.exp(1j * np.pi) - 1.0) / 1j, rel=1e-11)
     assert abs(total[1]) < 1e-11
 
 
 def test_oscillatory():
     k = 57.0
-    total, _ = adaptive_quad_vec(lambda x: np.sin(k * x) + 0j, 0.0, 1.0,
-                                 rtol=1e-10)
+    total, _ = adaptive_quad_vec(by_nodes(lambda x: np.sin(k * x) + 0j),
+                                 0.0, 1.0, rtol=1e-10)
     assert total.real == pytest.approx((1 - np.cos(k)) / k, rel=1e-9)
 
 
 def test_sharp_peak_refined():
     w = 1e-4
-    total, _ = adaptive_quad_vec(lambda x: w / (x**2 + w**2), -1.0, 1.0,
-                                 rtol=1e-9)
+    total, _ = adaptive_quad_vec(by_nodes(lambda x: w / (x**2 + w**2)),
+                                 -1.0, 1.0, rtol=1e-9)
     assert total == pytest.approx(2.0 * np.arctan(1.0 / w), rel=1e-8)
 
 
@@ -67,7 +78,7 @@ def test_one_integrand_call_per_round():
     """Every call evaluates whole 21-node panels, and a refinement round
     evaluates several new panels in one call."""
     w = 1e-4
-    f, sizes = recording(lambda x: w / (x**2 + w**2))
+    f, sizes = recording(by_nodes(lambda x: w / (x**2 + w**2)))
     adaptive_quad_vec(f, -1.0, 1.0, rtol=1e-9)
     assert all(n % 21 == 0 for n in sizes)
     assert max(sizes) > 21
@@ -75,7 +86,7 @@ def test_one_integrand_call_per_round():
 
 def test_initial_panels_at_breakpoints():
     """A kink on a shared edge of the initial panels needs no refinement."""
-    f, sizes = recording(lambda x: np.abs(x - 0.3))
+    f, sizes = recording(by_nodes(lambda x: np.abs(x - 0.3)))
     total, err = adaptive_quad_vec(f, (0.0, 0.3), (0.3, 1.0), rtol=1e-12)
     assert total == pytest.approx((0.3**2 + 0.7**2) / 2.0, rel=1e-14)
     assert err < 1e-14
@@ -84,13 +95,13 @@ def test_initial_panels_at_breakpoints():
 
 def test_rejects_empty_interval():
     with pytest.raises(ValueError):
-        adaptive_quad_vec(np.cos, 1.0, 1.0)
+        adaptive_quad_vec(by_nodes(np.cos), 1.0, 1.0)
     with pytest.raises(ValueError):
-        adaptive_quad_vec(np.cos, (0.0, 1.0), (1.0, 0.5))
+        adaptive_quad_vec(by_nodes(np.cos), (0.0, 1.0), (1.0, 0.5))
 
 
 def test_budget_exhaustion():
-    f, sizes = recording(lambda x: np.sin(1e7 * x) + 0j)
+    f, sizes = recording(by_nodes(lambda x: np.sin(1e7 * x) + 0j))
     with pytest.raises(QuadratureError) as info:
         adaptive_quad_vec(f, 0.0, 1.0, rtol=1e-12, max_panels=8)
     assert info.value.estimate is not None and info.value.estimate > 0.0
@@ -113,7 +124,7 @@ def test_agrees_with_scipy_quad_vec(a, b, c, lo, width):
         return np.exp(1j * a * x) / (1.0 + b * x**2) * np.array([1.0, c, 1j])
 
     hi = lo + width
-    total, err = adaptive_quad_vec(f, lo, hi, rtol=1e-10)
+    total, err = adaptive_quad_vec(by_nodes(f), lo, hi, rtol=1e-10)
     ref, ref_err = quad_vec(lambda x: f([x])[0], lo, hi, epsrel=1e-12,
                             epsabs=0.0)
     dev = np.abs(total - ref)
@@ -145,12 +156,13 @@ def test_batch_equals_single_runs(params, rtol):
     params = np.array(params)
     n = len(params)
     lo, hi = [-1.0, 0.2], [0.2, 2.0]
-    f, sizes = recording(batch_integrand(params))
+    f, sizes = recording(by_nodes(batch_integrand(params)))
     total, err = adaptive_quad_vec(f, lo, hi, rtol=rtol)
     assert total.shape == (n, 3) and err.shape == (n, 3)
     lone_nodes = 0
     for k in range(n):
-        one, lone_sizes = recording(lambda s: batch_integrand(params[k:k + 1])(s)[:, 0])
+        one, lone_sizes = recording(by_nodes(
+            lambda s: batch_integrand(params[k:k + 1])(s)[:, 0]))
         adaptive_quad_vec(one, lo, hi, rtol=rtol)
         lone_nodes += sum(lone_sizes)
         ref, ref_err = adaptive_quad_vec(one, lo, hi, rtol=1e-12)
@@ -170,31 +182,40 @@ def test_tolerance_per_integral():
 
     exact = scales * (1.0 + 40.0 * np.exp(-2.0) * np.sin(80.0)
                       - np.exp(-2.0) * np.cos(80.0)) / (1.0 + 40.0**2)
-    total, _ = adaptive_quad_vec(f, 0.0, 2.0, rtol=1e-10)
+    total, _ = adaptive_quad_vec(by_nodes(f), 0.0, 2.0, rtol=1e-10)
     assert total.shape == (2, 1)
     assert np.all(np.abs(total[:, 0] - exact) <= 1e-10 * np.abs(exact))
 
 
-def test_panel_sums_equal_node_values():
-    """An integrand may return each panel's K21 and G10 sums itself, with
-    the weights RULES; the run is then the one its node values give."""
-    f = batch_integrand([(3.0, 2.0, 0.5), (-7.0, 30.0, 2.0)])
+def test_shared_budget_grows_with_the_batch():
+    """Two integrals that each converge within max_panels alone also
+    converge together, although the union of their panels (peaks at -0.5
+    and 0.5 need 27 panels each, 52 together) exceeds max_panels."""
+    w = 1e-4
 
-    def sums(s):
-        return np.einsum("jk,pkic->jpic", RULES, f(s).reshape(-1, 21, 2, 3))
+    def peaks(centres):
+        return by_nodes(lambda x: (w / ((x[:, None] - np.asarray(centres))**2
+                                        + w**2))[:, :, None])
 
-    by_nodes, sizes = recording(f)
-    by_sums, sizes_sums = recording(sums)
-    total, err = adaptive_quad_vec(by_nodes, -1.0, 2.0, rtol=1e-11)
-    total_sums, err_sums = adaptive_quad_vec(by_sums, -1.0, 2.0, rtol=1e-11)
-    assert sizes == sizes_sums
-    assert np.abs(total - total_sums).max() <= 1e-14 * np.abs(total).max()
+    exact = np.arctan(0.5 / w) + np.arctan(1.5 / w)
+    for c in (-0.5, 0.5):
+        total, _ = adaptive_quad_vec(peaks([c]), -1.0, 1.0, max_panels=30)
+        assert total[0, 0] == pytest.approx(exact, rel=1e-8)
+    total, _ = adaptive_quad_vec(peaks([-0.5, 0.5]), -1.0, 1.0, max_panels=30)
+    assert np.all(np.abs(total[:, 0] - exact) <= 1e-8 * exact)
 
 
 def test_batch_rejects_bad_rows():
-    """Edges must be 1-D, and an integrand must return node values or panel
-    sums: any other leading shape is an error, not a silent misreading."""
+    """Edges must be 1-D, and an integrand must return the two rule sums of
+    each panel: node values, whose first axis is the node count, or any
+    other leading shape are an error, not a silent misreading."""
     with pytest.raises(ValueError):
-        adaptive_quad_vec(np.cos, [[0.0], [1.0]], [[1.0], [2.0]])
-    with pytest.raises(ValueError):
+        adaptive_quad_vec(by_nodes(np.cos), [[0.0], [1.0]], [[1.0], [2.0]])
+    with pytest.raises(ValueError, match="expected"):
+        adaptive_quad_vec(np.cos, 0.0, 1.0)
+    with pytest.raises(ValueError, match="expected"):
+        adaptive_quad_vec(lambda s: np.ones((s.size, 2, 3)), 0.0, 1.0)
+    with pytest.raises(ValueError, match="expected"):
         adaptive_quad_vec(lambda s: np.ones((3, s.size // 21)), 0.0, 1.0)
+    with pytest.raises(ValueError, match="expected"):
+        adaptive_quad_vec(lambda s: np.ones((2, s.size // 21 + 1)), 0.0, 1.0)
