@@ -17,7 +17,8 @@ dielectric with Re sqrt(eps) > 1 the evanescent segment has a panel edge
 at the branch point k sqrt(eps) of k_z2, t_b = acosh(Re sqrt(eps)), with
 the substitutions t = t_b sin^2(v/2) below it and t = t_b + u^2 just beyond
 it, which make the integrand analytic there, so the adaptive panels
-converge geometrically. The segment table is in :func:`_contour_edges`.
+converge geometrically. The segment table is in :func:`_contour_edges`;
+each segment starts as four equal panels.
 
 Every tensor function takes points of shape (..., 3), broadcast against each
 other, and returns tensors of shape (..., 3, 3), one per geometry. The
@@ -342,27 +343,52 @@ def _contour_point(s, k1, t_b):
 # their own phase and Bessel terms instead, and run in blocks of at most
 # _BLOCK geometries adjacent in Z, so that none is evaluated on the panels
 # that only a far lower one needs. Both values come from the timings in
-# BENCH_7.json ("probes").
+# BENCH_7.json and BENCH_8.json ("probes").
 _PRODUCT_RATIO = 8
 _BLOCK = 32
 
+# Equal panels in s that each segment of _contour_edges starts with. The
+# first adaptive rounds of a single panel per segment bisect nearly every
+# panel, so they only build this mesh, one integrand call at a time; 6 runs
+# as fast, 8 and more evaluate nodes that no geometry needs (BENCH_8.json).
+_SEED_PANELS = 4
 
-def _shares_terms(big_z, lateral):
-    """Whether a batch has few enough distinct (Z, rho) for one product."""
-    return (len(np.unique(big_z)) * len(np.unique(lateral))
-            <= _PRODUCT_RATIO * len(big_z))
 
-
-def _sommerfeld_run(z_sum, lateral, k1, refl, t_b, rtol, max_panels):
-    """Components (xx, yy, zz, xz, zx) of the geometries (Z, rho) of one
-    shared adaptive run, shape (n, 5), and their error estimates."""
-    from .quadrature import RULES, adaptive_quad_vec
-
+def _distinct_terms(z_sum, lateral):
+    """Distinct heights Z and lateral offsets rho of a batch, each with the
+    index of every geometry's entry: ``(big_z, z_of, rho, rho_of)``."""
     big_z, z_of = np.unique(z_sum, return_inverse=True)
     rho, rho_of = np.unique(lateral, return_inverse=True)
-    product = _shares_terms(z_sum, lateral)
-    edges = _contour_edges(
-        float(np.arcsinh(_EVANESCENT_DECADES / (k1 * big_z[0]))), t_b)
+    return big_z, z_of, rho, rho_of
+
+
+def _shares_terms(terms):
+    """Whether a batch has few enough distinct (Z, rho) for one product."""
+    big_z, z_of, rho, _ = terms
+    return len(big_z) * len(rho) <= _PRODUCT_RATIO * len(z_of)
+
+
+def _seeded_edges(lo, hi):
+    """The panels ``(lo, hi)`` each cut into ``_SEED_PANELS`` equal ones;
+    every original edge stays an edge, bit for bit."""
+    grid = np.linspace(lo, hi, _SEED_PANELS + 1, axis=1)
+    return grid[:, :-1].ravel(), grid[:, 1:].ravel()
+
+
+def _sommerfeld_run(terms, k1, refl, t_b, rtol, max_panels):
+    """Components (xx, yy, zz, xz, zx) of the geometries of one shared
+    adaptive run, shape (n, 5), and their error estimates.
+
+    ``terms`` are the batch's distinct heights and lateral offsets from
+    :func:`_distinct_terms`. The run starts from the segments of
+    :func:`_contour_edges` for the lowest Z, each cut into
+    ``_SEED_PANELS`` equal panels."""
+    from .quadrature import RULES, adaptive_quad_vec
+
+    big_z, z_of, rho, rho_of = terms
+    product = _shares_terms(terms)
+    edges = _seeded_edges(*_contour_edges(
+        float(np.arcsinh(_EVANESCENT_DECADES / (k1 * big_z[0]))), t_b))
     n_node = RULES.shape[1]
     pref = 1j / (8.0 * np.pi**2)
 
@@ -411,7 +437,10 @@ def halfspace_scatter_full(r, r_prime, omega, material, rtol=1e-9,
     geometrically instead of algebraically (see :func:`_contour_edges`).
     Metals (Re sqrt(eps) <= 1) and the perfect reflector keep the two plain
     segments. All segments are integrated in one adaptive call over the
-    abscissa s, with a panel boundary where two segments join.
+    abscissa s, with a panel boundary where two segments join. Each segment
+    starts as ``_SEED_PANELS`` = 4 equal panels, the mesh that the first
+    rounds from one panel per segment would only build by bisection; a
+    lone near-zone tensor converges on it in one round.
 
     A batch of points shares one contour and one adaptive panel set, each
     geometry with its own tolerance against its own magnitude. The tail is
@@ -420,9 +449,9 @@ def halfspace_scatter_full(r, r_prime, omega, material, rtol=1e-9,
     a geometry only through e^{i k_z Z}, Z = z + z', and the Bessel
     functions of k_par rho, rho the lateral distance. So the per-node terms
     are evaluated once per node, the phase once per distinct Z and the
-    Bessel functions once per distinct rho. When the batch has at most
-    ``_PRODUCT_RATIO`` distinct (Z, rho) combinations per geometry (a map,
-    a z-sweep), each panel is reduced by its K21 and G10 weights as a matrix
+    Bessel functions once per distinct rho; the distinct values are found
+    once per run. When the batch has at most ``_PRODUCT_RATIO`` distinct
+    (Z, rho) combinations per geometry (a map, a z-sweep), each panel is reduced by its K21 and G10 weights as a matrix
     product over (Z, rule) and (rho, column), from which each geometry takes
     its (Z, rho) entry. Otherwise (scattered points) each geometry
     multiplies its own phase and Bessel terms, 21 nodes by 4 columns per
@@ -443,19 +472,21 @@ def halfspace_scatter_full(r, r_prime, omega, material, rtol=1e-9,
     dx, dy = r[:, 0] - rp[:, 0], r[:, 1] - rp[:, 1]
     lateral = np.hypot(dx, dy)
     phi0 = np.where(lateral > 0.0, np.arctan2(dy, dx), 0.0)
-    if _shares_terms(z_sum, lateral):
-        blocks = [slice(None)]
+    terms = _distinct_terms(z_sum, lateral)
+    if _shares_terms(terms):
+        blocks = [(slice(None), terms)]
     else:
         order = np.argsort(z_sum, kind="stable")
-        blocks = np.array_split(order, -(-len(order) // _BLOCK))
+        blocks = [(block, _distinct_terms(z_sum[block], lateral[block]))
+                  for block in np.array_split(order, -(-len(order) // _BLOCK))]
     k1 = omega / C
     refl = _reflection_callable(material, omega)
     t_b = _branch_edge(material, omega)
     comps = np.empty((len(z_sum), 5), dtype=complex)
     err = np.empty(comps.shape)
-    for block in blocks:
+    for block, block_terms in blocks:
         comps[block], err[block] = _sommerfeld_run(
-            z_sum[block], lateral[block], k1, refl, t_b, rtol, max_panels)
+            block_terms, k1, refl, t_b, rtol, max_panels)
     scale = np.maximum(np.abs(comps).max(axis=1), 1e-300)
     g = _assemble(comps, phi0).reshape(shape + (3, 3))
     rel = (err.max(axis=1) / scale).reshape(shape)

@@ -90,18 +90,19 @@ _CHUNK_ROWS = 64
 def _eval_rows(cfg, method, rows):
     """Records of rows ``(method, x_lam, z_lam, flag)`` sharing one method,
     from one rate call over all their mediator positions."""
-    positions = np.array([[x_lam * cfg.lambda_d, 0.0, z_lam * cfg.lambda_d]
-                          for _, x_lam, z_lam, _ in rows])
+    positions = np.array([(x_lam, 0.0, z_lam)
+                          for _, x_lam, z_lam, _ in rows]) * cfg.lambda_d
     res = rate_isotropic(cfg.d_donor, cfg.d_acceptor, cfg.donor, cfg.acceptor,
                          cfg.environment, cfg.omega,
                          mediator=Mediator(positions, StaticScalar(cfg.alpha)),
                          method=method, rtol=cfg.quad_rtol)
     return [
-        RateRecord(x_m=x_lam, z_m=z_lam, gamma=float(res.gamma[k]),
-                   gamma_normalized=float(res.gamma_normalized[k]),
-                   method=method, error_estimate=float(res.error_estimate[k]),
-                   flag=flag)
-        for k, (_, x_lam, z_lam, flag) in enumerate(rows)
+        RateRecord(x_m=x_lam, z_m=z_lam, gamma=gamma,
+                   gamma_normalized=normalized, method=method,
+                   error_estimate=estimate, flag=flag)
+        for (_, x_lam, z_lam, flag), gamma, normalized, estimate in zip(
+            rows, res.gamma.tolist(), res.gamma_normalized.tolist(),
+            res.error_estimate.tolist(), strict=True)
     ]
 
 
@@ -176,20 +177,25 @@ def sweep_2d(cfg, spec, workers=1):
         raise ConfigError("2-D sweep needs a mediator block in the config")
     method = "exact"
     clip = cfg.clip_radius * cfg.lambda_d
-    xs = np.linspace(spec.x_min, spec.x_max, spec.nx)
-    zs = np.linspace(spec.z_min, spec.z_max, spec.nz)
-    rows = []
-    for z_lam in zs:
-        for x_lam in xs:
-            pos = np.array([float(x_lam) * cfg.lambda_d, 0.0,
-                            float(z_lam) * cfg.lambda_d])
-            flag = ""
-            if (np.linalg.norm(pos - cfg.donor) < clip
-                    or np.linalg.norm(pos - cfg.acceptor) < clip):
-                flag = "clip"
-            rows.append((method, float(x_lam), float(z_lam), flag))
+    x_lam, z_lam = (g.ravel() for g in np.meshgrid(
+        np.linspace(spec.x_min, spec.x_max, spec.nx),
+        np.linspace(spec.z_min, spec.z_max, spec.nz)))
+    pos = np.stack([x_lam, np.zeros_like(x_lam), z_lam], axis=1) * cfg.lambda_d
     # inside the clip radius keep the flag even when evaluation succeeded
+    clipped = ((_distance(pos, cfg.donor) < clip)
+               | (_distance(pos, cfg.acceptor) < clip))
+    rows = [(method, x, z, "clip" if c else "")
+            for x, z, c in zip(x_lam.tolist(), z_lam.tolist(), clipped.tolist())]
     return _run(cfg, rows, workers)
+
+
+def _distance(points, point):
+    """Distance of each of ``points`` (n, 3) from ``point``, each row to the
+    last bit the ``np.linalg.norm`` of that row alone: a stacked
+    (1 x 3) @ (3 x 1) product takes the same dot product, where a sum along
+    an axis rounds differently in about one row of ten."""
+    d = points - point
+    return np.sqrt((d[:, None, :] @ d[:, :, None])[:, 0, 0])
 
 
 def _format(value):

@@ -208,8 +208,9 @@ class TestBatchedSommerfeld:
              (np.array([0.2, 0.0, 0.009]) * LAM, np.array([-0.8, 0.0, 0.012]) * LAM)]
 
     @staticmethod
-    def counting_panels(monkeypatch):
-        """Counts the panels the Sommerfeld integrand is evaluated on."""
+    def integrand_calls(monkeypatch):
+        """The node count of every call of the Sommerfeld integrand, in
+        order, as a list that fills as the evaluator runs."""
         from mqret import quadrature
 
         real = quadrature.adaptive_quad_vec
@@ -222,6 +223,12 @@ class TestBatchedSommerfeld:
             return real(kernel, *args, **kwargs)
 
         monkeypatch.setattr(quadrature, "adaptive_quad_vec", counting)
+        return nodes
+
+    @staticmethod
+    def counting_panels(monkeypatch):
+        """Counts the panels the Sommerfeld integrand is evaluated on."""
+        nodes = TestBatchedSommerfeld.integrand_calls(monkeypatch)
         return lambda: sum(nodes) // 21
 
     def test_j2_recurrence_matches_scipy(self):
@@ -332,17 +339,53 @@ class TestBatchedSommerfeld:
                                                rtol=1e-12)
         assert np.all(err <= 1e-12)
 
+    # the donor and acceptor of a map and 20 mediator positions around them
+    R_D, R_A = np.array([0.0, 0.0, 0.04]) * LAM, np.array([0.0, 0.0, 0.07]) * LAM
+
+    @classmethod
+    def map_legs(cls):
+        """Both mediator legs of 20 map positions as one batch, (r, r')."""
+        xs, zs = np.meshgrid(np.linspace(-3.0, 3.0, 5), [0.2, 0.5, 2.0, 4.0])
+        med = np.stack([xs.ravel(), 0.0 * xs.ravel(), zs.ravel()], axis=1) * LAM
+        return (np.concatenate([np.broadcast_to(cls.R_A, med.shape), med]),
+                np.concatenate([med, np.broadcast_to(cls.R_D, med.shape)]))
+
     def test_near_zone_dielectric_converges_at_1e12(self):
         """Mediator legs of a map over eps = 2.25 near the benchmark's
         geometries reach rtol 1e-12, the benchmark's reference tolerance."""
-        xs, zs = np.meshgrid(np.linspace(-3.0, 3.0, 5), [0.2, 0.5, 2.0, 4.0])
-        med = np.stack([xs.ravel(), 0.0 * xs.ravel(), zs.ravel()], axis=1) * LAM
-        r_a, r_d = np.array([0.0, 0.0, 0.07]) * LAM, np.array([0.0, 0.0, 0.04]) * LAM
-        r = np.concatenate([np.broadcast_to(r_a, med.shape), med])
-        rp = np.concatenate([med, np.broadcast_to(r_d, med.shape)])
-        _, err = greens.halfspace_scatter_full(r, rp, OMEGA, media.Constant(2.25),
-                                               rtol=1e-12)
+        _, err = greens.halfspace_scatter_full(*self.map_legs(), OMEGA,
+                                               media.Constant(2.25), rtol=1e-12)
         assert np.all(err <= 1e-12)
+
+    def test_seeded_panels_save_rounds(self, monkeypatch):
+        """Each contour segment starts as _SEED_PANELS panels, so the rounds
+        that would only bisect a uniform mesh are gone: the map legs above
+        converge at rtol 1e-9 in at most 5 integrand calls (7 from one
+        panel per segment), and a lone on-axis G_AD in its first."""
+        calls = self.integrand_calls(monkeypatch)
+        greens.halfspace_scatter_full(*self.map_legs(), OMEGA,
+                                      media.Constant(2.25), rtol=1e-9)
+        assert len(calls) <= 5
+        calls.clear()
+        greens.halfspace_scatter_full(self.R_D, self.R_A, OMEGA,
+                                      media.Constant(2.25), rtol=1e-9)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("t_max, t_b", [(3.0, 0.0), (3.85, 0.962),
+                                            (0.5, 0.962), (0.9620001, 0.962)])
+    def test_seeded_edges_keep_every_segment_edge(self, t_max, t_b):
+        """Every edge of _contour_edges, joins and the branch-point edge
+        t_b + u_c^2 included, is an edge of the seeded panels, bit for bit,
+        and the seeded panels tile each segment in equal widths."""
+        lo, hi = greens._contour_edges(t_max, t_b)
+        seeded_lo, seeded_hi = greens._seeded_edges(lo, hi)
+        assert len(seeded_lo) == greens._SEED_PANELS * len(lo)
+        assert set(lo) <= set(seeded_lo) and set(hi) <= set(seeded_hi)
+        inner = seeded_lo.reshape(len(lo), -1)[:, 1:]
+        assert np.array_equal(inner, seeded_hi.reshape(len(lo), -1)[:, :-1])
+        width = (seeded_hi - seeded_lo).reshape(len(lo), -1)
+        assert np.allclose(width, ((hi - lo) / greens._SEED_PANELS)[:, None],
+                           rtol=1e-12)
 
 
 def kpar_reference(r, rp, eps):

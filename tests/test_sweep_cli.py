@@ -171,6 +171,29 @@ class TestSweep:
         flagged = [r for r in recs if r.flag == "clip"]
         assert flagged  # grid points land near the donor/acceptor column
 
+    def test_sweep_2d_clip_flags_match_per_row_formula(self, tmp_path,
+                                                       monkeypatch):
+        """The flags of a grid straddling the clip radius of the donor and
+        the acceptor, one array expression, equal the flag of each row's
+        own norm; the grid includes points exactly one radius away."""
+        monkeypatch.setattr(sweep, "_run", lambda cfg, rows, workers: rows)
+        cfg = config.load_config(write_config(tmp_path))
+        spec = sweep.TwoDSweep(-0.45, 0.45, 0.0, 0.9, 61, 61)
+        rows = sweep.sweep_2d(cfg, spec, workers=1)
+        clip = cfg.clip_radius * cfg.lambda_d
+        expected = []
+        for z_lam in np.linspace(spec.z_min, spec.z_max, spec.nz):
+            for x_lam in np.linspace(spec.x_min, spec.x_max, spec.nx):
+                pos = np.array([float(x_lam) * cfg.lambda_d, 0.0,
+                                float(z_lam) * cfg.lambda_d])
+                near = (np.linalg.norm(pos - cfg.donor) < clip
+                        or np.linalg.norm(pos - cfg.acceptor) < clip)
+                expected.append(("exact", float(x_lam), float(z_lam),
+                                 "clip" if near else ""))
+        assert rows == expected
+        flags = [row[3] for row in rows]
+        assert 0 < flags.count("clip") < len(flags)
+
     def test_error_rows_recorded(self, tmp_path):
         """A mediator colliding with the acceptor yields an error row, not a crash."""
         cfg = config.load_config(write_config(tmp_path))
