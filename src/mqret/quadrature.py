@@ -110,7 +110,10 @@ def adaptive_quad_vec(f, a, b, rtol=1e-9, atol=0.0, max_panels=4000):
     boundary.
 
     Returns ``(integral, error)``, both of shape S, with per-component
-    error estimates. The per-component tolerance of each integral is
+    error estimates, each at least the rounding level 50 eps sum|panel| of
+    its panel sum (QUADPACK floors each panel's error the same way); the
+    floor enters the returned estimate only, not the decision to refine.
+    The per-component tolerance of each integral is
     ``atol + rtol * max|integral|``. The run holds at most ``max_panels``
     panels for one integral, and min(N, ``_SHARED_BUDGETS``) = min(N, 4)
     times as many for N integrals, whose union may need more panels than
@@ -143,7 +146,12 @@ def adaptive_quad_vec(f, a, b, rtol=1e-9, atol=0.0, max_panels=4000):
         tol = atol + rtol * scale
         worst = toterr.max(axis=1)
         done = live & (worst <= tol)
-        out_val[done], out_err[done] = total[done], toterr[done]
+        # the reported estimate is no lower than the rounding level of the
+        # panel sum: panels that resolve an integrand well can bring
+        # |K21 - G10| below it
+        out_val[done] = total[done]
+        out_err[done] = np.maximum(toterr[done],
+                                   _NOISE * np.abs(val[:, done]).sum(axis=0))
         live &= ~done
         if not live.any():
             return out_val.reshape(shape), out_err.reshape(shape)

@@ -268,6 +268,7 @@ class TestBatchedSommerfeld:
            seed=st.integers(0, 2**32 - 1), lossy_metal=st.booleans())
     @example(kinds=["near", "leg", "leg", "far"] * 16, seed=1, lossy_metal=False)
     @example(kinds=["near", "leg", "leg", "far"] * 16, seed=2, lossy_metal=True)
+    @example(kinds=["near"] * 6, seed=414, lossy_metal=False)  # rounding floor
     def test_random_batch_meets_tolerance(self, kinds, seed, lossy_metal):
         """A random batch of near-surface pairs, mediator legs of a map and
         40 lambda pairs, over eps = 2.25 or the lossy Drude-Lorentz metal:
@@ -370,6 +371,21 @@ class TestBatchedSommerfeld:
         greens.halfspace_scatter_full(self.R_D, self.R_A, OMEGA,
                                       media.Constant(2.25), rtol=1e-9)
         assert len(calls) == 1
+
+    def test_estimate_covers_the_cut_off_tail(self, monkeypatch):
+        """On the seeded panels the on-axis G_AD converges in one round with
+        |K21 - G10| near 1e-15, below the ~3e-15 that the cut-off at
+        kappa (z + z') = 40 leaves out; the estimate, floored at the
+        rounding level of the panel sum, covers the distance to the tensor
+        cut at 70."""
+        mat = media.Constant(2.25)
+        g, err = greens.halfspace_scatter_full(self.R_D, self.R_A, OMEGA, mat,
+                                               rtol=1e-12)
+        monkeypatch.setattr(greens, "_EVANESCENT_DECADES", 70.0)
+        ref, _ = greens.halfspace_scatter_full(self.R_D, self.R_A, OMEGA, mat,
+                                               rtol=1e-12)
+        dev = np.abs(g - ref).max() / np.abs(ref).max()
+        assert 1e-15 < dev <= err
 
     @pytest.mark.parametrize("t_max, t_b", [(3.0, 0.0), (3.85, 0.962),
                                             (0.5, 0.962), (0.9620001, 0.962)])

@@ -29,9 +29,11 @@ def recording(f):
 
 
 def test_polynomial_exact():
+    """Both rules are exact for a cubic, so |K21 - G10| is rounding only;
+    the returned estimate is floored at 50 eps times the panel sum."""
     total, err = adaptive_quad_vec(by_nodes(lambda x: x**3 + 1.0), 0.0, 2.0)
     assert total == pytest.approx(6.0, rel=1e-13)
-    assert err < 1e-10
+    assert 50.0 * np.finfo(float).eps * abs(total) <= err < 1e-10
 
 
 def test_kronrod_rule_exact_to_degree_31():
