@@ -43,6 +43,15 @@ def _require(data, key, context):
     return data[key]
 
 
+def _finite(perm, key, kind=float, default=None):
+    """The permittivity field ``key`` as ``kind``, which must be finite."""
+    value = kind(_require(perm, key, "permittivity") if default is None
+                 else perm.get(key, default))
+    if not np.isfinite(value):
+        raise ConfigError(f"permittivity {key} must be finite")
+    return value
+
+
 def _parse_environment(data):
     kind = _require(data, "type", "environment")
     if kind == "vacuum":
@@ -53,13 +62,12 @@ def _parse_environment(data):
         perm = _require(data, "permittivity", "environment.halfspace")
         pkind = _require(perm, "type", "permittivity")
         if pkind == "constant":
-            return HalfSpace(Constant(complex(_require(perm, "value",
-                                                       "permittivity"))))
+            return HalfSpace(Constant(_finite(perm, "value", complex)))
         if pkind == "drude_lorentz":
             return HalfSpace(DrudeLorentz(
-                omega_p=float(_require(perm, "omega_p", "permittivity")),
-                omega_0=float(_require(perm, "omega_0", "permittivity")),
-                gamma=float(perm.get("gamma", 0.0)),
+                omega_p=_finite(perm, "omega_p"),
+                omega_0=_finite(perm, "omega_0"),
+                gamma=_finite(perm, "gamma", default=0.0),
             ))
         if pkind == "perfect":
             return HalfSpace(PerfectReflector())

@@ -32,7 +32,6 @@ neighbouring heights (see :func:`halfspace_scatter_full`).
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import j0, j1
 
 from .core import C, IDENTITY, GeometryError
 from .media import (
@@ -222,6 +221,10 @@ def _bessel_j012(x):
     several times cheaper than ``scipy.special.jn(2, x)``. Below x = 0.01,
     where the recurrence cancels to its last digits (and, for subnormal x,
     to 1e-11), J2 comes from its series x^2/8 (1 - x^2/12)."""
+    # imported here, so that a run of closed forms never loads scipy.special
+    # (about 5 MB of resident memory)
+    from scipy.special import j0, j1
+
     b0, b1 = j0(x), j1(x)
     small = x < 1e-2
     x2 = x * x
@@ -536,7 +539,7 @@ def green_bulk(r, r_prime, omega, method="auto", include_phase=True):
 
 
 def green_total(env, r, r_prime, omega, part="total", method="auto",
-                rtol=1e-9, include_phase=True):
+                rtol=1e-9):
     """Total (bulk + scattering) Green's tensor.
 
     ``part``: "bulk", "scatter" or "total". For a vacuum environment the
@@ -546,8 +549,7 @@ def green_total(env, r, r_prime, omega, part="total", method="auto",
         raise ValueError(f"unknown part {part!r}")
     g = np.zeros((3, 3), dtype=complex)
     if part in ("bulk", "total"):
-        g = g + green_bulk(r, r_prime, omega, method=method,
-                           include_phase=include_phase)
+        g = g + green_bulk(r, r_prime, omega, method=method)
     if part in ("scatter", "total"):
         gs, _ = green_scatter(env, r, r_prime, omega, method=method, rtol=rtol)
         g = g + gs

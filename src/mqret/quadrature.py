@@ -120,7 +120,9 @@ def adaptive_quad_vec(f, a, b, rtol=1e-9, atol=0.0, max_panels=4000):
     any one of them alone. :class:`QuadratureError`, carrying the relative
     ``estimate``, is raised when an unconverged integral meets that budget,
     or at once when its error estimate stops falling at rounding level: a
-    round fails to halve it while it lies below 50 eps sum|panel|.
+    round fails to halve it while it lies below 50 eps sum|panel|. It is
+    also raised, with a NaN ``estimate``, when the error estimate of an
+    unconverged integral is not finite (the integrand is NaN or infinite).
     """
     lo, hi = np.broadcast_arrays(np.atleast_1d(np.asarray(a, dtype=float)),
                                  np.atleast_1d(np.asarray(b, dtype=float)))
@@ -145,6 +147,10 @@ def adaptive_quad_vec(f, a, b, rtol=1e-9, atol=0.0, max_panels=4000):
         scale = np.abs(total).max(axis=1)
         tol = atol + rtol * scale
         worst = toterr.max(axis=1)
+        if not np.isfinite(worst[live]).all():
+            raise QuadratureError(
+                "adaptive quadrature did not converge: non-finite integrand "
+                f"value among {len(lo)} panels", estimate=float("nan"))
         done = live & (worst <= tol)
         # the reported estimate is no lower than the rounding level of the
         # panel sum: panels that resolve an integrand well can bring

@@ -16,7 +16,7 @@ matching the approximation scheme behind the closed-form colinear rate. The
 Sommerfeld scattering tensor.
 """
 
-import threading
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,7 +38,6 @@ MIN_SEPARATION_WAVELENGTHS = 1e-4
 class Dipole:
     position: np.ndarray      # m
     moment: np.ndarray        # complex, C*m
-    role: str | None = None   # "donor" | "acceptor"
 
     def __post_init__(self):
         if np.linalg.norm(self.moment) == 0.0:
@@ -95,29 +94,21 @@ def _green(env, r, r_prime, omega, method, rtol, include_phase=True):
     return gb + gs, err
 
 
-# G_AD per donor-acceptor pair, so that a sweep over mediator positions
-# evaluates it once per pair; least recently used first. The threads of a
-# sweep share it, so every read and update holds the lock.
-_DIRECT_LEGS = {}
-_DIRECT_LEGS_MAX = 8
-_DIRECT_LEGS_LOCK = threading.Lock()
+@functools.lru_cache(maxsize=8)
+def _direct_leg(env, r_a, r_d, omega, method, rtol, include_phase):
+    """G_AD and the bound on its error for one donor-acceptor pair, given
+    as ``_point_key`` tuples; the eight most recent pairs are kept, so that
+    a sweep over mediator positions evaluates G_AD once per pair.
 
-
-def _remember(key, leg):
-    """Keep ``leg`` = (G_AD, err) under ``key`` as the most recent entry.
-
-    The key is everything the tensor depends on, and the tensor depends on
-    nothing else (it is always evaluated on its own, never in a batch), so
-    a hit returns exactly what a fresh evaluation would. The kept tensor is
-    read-only because every hit shares it.
+    The arguments are everything the tensor depends on, and it depends on
+    nothing else (it is always evaluated in a tensor call of its own, never
+    in a batch), so a hit returns exactly what a fresh evaluation would.
+    The returned tensor is read-only because every hit shares it.
     """
-    leg[0].flags.writeable = False
-    with _DIRECT_LEGS_LOCK:
-        _DIRECT_LEGS.pop(key, None)
-        _DIRECT_LEGS[key] = leg
-        while len(_DIRECT_LEGS) > _DIRECT_LEGS_MAX:
-            del _DIRECT_LEGS[next(iter(_DIRECT_LEGS))]
-    return leg
+    g_ad, err = _green(env, np.array(r_a), np.array(r_d), omega, method, rtol,
+                       include_phase)
+    g_ad.flags.writeable = False
+    return g_ad, err
 
 
 def _point_key(r):
@@ -125,22 +116,18 @@ def _point_key(r):
     return tuple((np.asarray(r, dtype=float) + 0.0).tolist())
 
 
-def _coupling(env, r_a, r_d, omega, mediator=None, method="auto", rtol=1e-9,
-              include_phase=True):
+def _coupling(env, r_a, r_d, omega, mediator=None, method="auto", rtol=1e-9):
     """The tensors of one geometry: ``(G_AD, mu0 w^2 alpha G_AM G_MD, err)``.
 
     Their sum is the coupling tensor F(A, M, D); the mediated term is zero
     without a mediator or at alpha = 0. ``method`` "limits" uses the
     phase-free near-zone tensor for the direct leg and the far-zone tensors
     for both mediator legs; "exact"/"auto"/"nr"/"r" use that tensor on every
-    leg, and ``include_phase`` applies to the direct leg only. ``err``
-    bounds the Frobenius norm of the error of F, propagated to first and
-    second order from the absolute error of each leg. Reciprocity gives
-    F(D, M, A) = F(A, M, D)^T, so no rate needs the reversed legs. G_AD
-    comes from the ``_DIRECT_LEGS`` memo, or on a miss from a tensor call of
-    its own, so that it is the same whatever else the sweep evaluates;
-    threads that miss the same pair at once each evaluate that same tensor.
-    The returned G_AD is read-only.
+    leg. ``err`` bounds the Frobenius norm of the error of F, propagated to
+    first and second order from the absolute error of each leg. Reciprocity
+    gives F(D, M, A) = F(A, M, D)^T, so no rate needs the reversed legs.
+    G_AD comes from the ``_direct_leg`` memo, so that it is the same
+    whatever else the sweep evaluates, and is read-only.
 
     A mediator position of shape (N, 3) gives the mediated terms and errors
     of N geometries, with G_AM and G_MD of all N from one tensor call. Its
@@ -148,9 +135,9 @@ def _coupling(env, r_a, r_d, omega, mediator=None, method="auto", rtol=1e-9,
     quadrature tolerance, on which positions share the call.
     """
     if method == "limits":
-        direct, legs, include_phase = "nr", "r", False
+        direct, phase, legs = "nr", False, "r"
     elif method in ("auto", "exact", "nr", "r"):
-        direct = legs = method
+        direct, phase, legs = method, True, method
     else:
         raise ValueError(f"unknown method {method!r}")
     positions = [r_d, r_a]
@@ -161,15 +148,8 @@ def _coupling(env, r_a, r_d, omega, mediator=None, method="auto", rtol=1e-9,
     _check_geometry(positions, omega)
     _check_heights(env, positions)
 
-    key = (env, _point_key(r_a), _point_key(r_d), float(omega), direct,
-           float(rtol), bool(include_phase))
-    with _DIRECT_LEGS_LOCK:
-        leg = _DIRECT_LEGS.get(key)
-    if leg is None:
-        leg = _green(env, np.asarray(r_a, dtype=float),
-                     np.asarray(r_d, dtype=float), omega, direct, rtol,
-                     include_phase)
-    g_ad, err = _remember(key, leg)
+    g_ad, err = _direct_leg(env, _point_key(r_a), _point_key(r_d),
+                            float(omega), direct, float(rtol), phase)
     batch = np.shape(mediator.position)[:-1] if mediator is not None else ()
     if alpha == 0.0:
         return g_ad, np.zeros(batch + (3, 3), dtype=complex), err + np.zeros(batch)
@@ -192,7 +172,7 @@ def _coupling(env, r_a, r_d, omega, mediator=None, method="auto", rtol=1e-9,
 
 
 def rate_oriented(donor, acceptor, env, omega, mediator=None, method="auto",
-                  rtol=1e-9, include_phase=True):
+                  rtol=1e-9):
     """Oriented transfer rate from Fermi's golden rule.
 
     Gamma = (2 pi mu0^2 w^4 / hbar) |d_A* . [G_AD + mu0 w^2 alpha G_AM G_MD]
@@ -200,7 +180,7 @@ def rate_oriented(donor, acceptor, env, omega, mediator=None, method="auto",
     against the mediator-free rate from the same G_AD.
     """
     g_ad, g_med, err = _coupling(env, acceptor.position, donor.position,
-                                 omega, mediator, method, rtol, include_phase)
+                                 omega, mediator, method, rtol)
     d_a = np.conj(acceptor.moment)
     amp0 = d_a @ g_ad @ donor.moment
     amp_med = d_a @ g_med @ donor.moment

@@ -1,13 +1,14 @@
 """Parameter-sweep engines and CSV/JSON emission.
 
 Sweep points are independent pure evaluations. They are evaluated in chunks
-of at most ``_CHUNK_ROWS`` rows, each chunk one batched rate call per
-method, and the chunks run on a pool of threads when requested (the numpy
+of at most ``_CHUNK_ROWS`` rows of one method, each chunk one batched rate
+call, and the chunks run on a pool of threads when requested (the numpy
 and scipy.special loops of the kernel release the interpreter lock). The
-chunk layout does not depend on the worker count, a row's value does not
-depend on the rows that share its chunk, and the collected records keep the
-deterministic input ordering and fixed float formatting, making the emitted
-CSV byte-identical regardless of worker count.
+chunk layout does not depend on the worker count (a row's value depends,
+within the quadrature tolerance, on the rows that share its chunk), and the
+collected records keep the deterministic input ordering and fixed float
+formatting, making the emitted CSV byte-identical regardless of worker
+count.
 """
 
 import csv
@@ -87,68 +88,61 @@ _ROW_ERRORS = (GeometryError, QuadratureError, ConfigError, SurfaceModeError,
 _CHUNK_ROWS = 64
 
 
-def _eval_rows(cfg, method, rows):
-    """Records of rows ``(method, x_lam, z_lam, flag)`` sharing one method,
-    from one rate call over all their mediator positions."""
+def _eval_point(cfg, method, rows):
+    """Records of one chunk of rows ``(x_lam, z_lam, flag)``, in row order,
+    from one rate call over all their mediator positions.
+
+    If that call raises a row error, the rows are evaluated again one by
+    one, so that the error lands in the row it belongs to; the sweep
+    continues.
+    """
     positions = np.array([(x_lam, 0.0, z_lam)
-                          for _, x_lam, z_lam, _ in rows]) * cfg.lambda_d
-    res = rate_isotropic(cfg.d_donor, cfg.d_acceptor, cfg.donor, cfg.acceptor,
-                         cfg.environment, cfg.omega,
-                         mediator=Mediator(positions, StaticScalar(cfg.alpha)),
-                         method=method, rtol=cfg.quad_rtol)
+                          for x_lam, z_lam, _ in rows]) * cfg.lambda_d
+    mediator = Mediator(positions, StaticScalar(cfg.alpha))
+    try:
+        res = rate_isotropic(cfg.d_donor, cfg.d_acceptor, cfg.donor,
+                             cfg.acceptor, cfg.environment, cfg.omega,
+                             mediator=mediator, method=method,
+                             rtol=cfg.quad_rtol)
+    except _ROW_ERRORS as exc:
+        if len(rows) > 1:
+            return [rec for row in rows for rec in _eval_point(cfg, method, [row])]
+        (x_lam, z_lam, _), = rows
+        nan = float("nan")
+        return [RateRecord(x_m=x_lam, z_m=z_lam, gamma=nan,
+                           gamma_normalized=nan, method=method,
+                           error_estimate=nan,
+                           flag=f"error:{type(exc).__name__}")]
     return [
         RateRecord(x_m=x_lam, z_m=z_lam, gamma=gamma,
                    gamma_normalized=normalized, method=method,
                    error_estimate=estimate, flag=flag)
-        for (_, x_lam, z_lam, flag), gamma, normalized, estimate in zip(
+        for (x_lam, z_lam, flag), gamma, normalized, estimate in zip(
             rows, res.gamma.tolist(), res.gamma_normalized.tolist(),
             res.error_estimate.tolist(), strict=True)
     ]
 
 
-def _eval_point(cfg, rows):
-    """Records of one chunk of rows, in row order.
-
-    The rows of each method are one rate call. If that call raises a row
-    error, its rows are evaluated again one by one, so that the error lands
-    in the row it belongs to; the sweep continues.
-    """
-    records = [None] * len(rows)
-    for method in dict.fromkeys(row[0] for row in rows):
-        picked = [k for k, row in enumerate(rows) if row[0] == method]
-        try:
-            done = _eval_rows(cfg, method, [rows[k] for k in picked])
-        except _ROW_ERRORS as exc:
-            if len(picked) > 1:
-                done = [_eval_point(cfg, [rows[k]])[0] for k in picked]
-            else:
-                _, x_lam, z_lam, _ = rows[picked[0]]
-                done = [RateRecord(
-                    x_m=x_lam, z_m=z_lam, gamma=float("nan"),
-                    gamma_normalized=float("nan"), method=method,
-                    error_estimate=float("nan"),
-                    flag=f"error:{type(exc).__name__}",
-                )]
-        for k, rec in zip(picked, done):
-            records[k] = rec
-    return records
-
-
-def _run(cfg, rows, workers):
-    """Records of all rows, in order. The rows are dealt round-robin into
-    ``ceil(rows / _CHUNK_ROWS)`` chunks, so that each chunk gets a share of
-    the near and the far mediator positions. One chunk, or one worker, runs
-    in the calling thread; otherwise the chunks run on ``min(workers,
-    chunks)`` threads, which share the G_AD memo of ``rates``."""
+def _run(cfg, method, rows, workers):
+    """Records of all rows of one method, in order. The rows are dealt
+    round-robin into ``ceil(rows / _CHUNK_ROWS)`` chunks, so that each chunk
+    gets a share of the near and the far mediator positions. One chunk, or
+    one worker, runs in the calling thread; otherwise the chunks run on
+    ``min(workers, chunks)`` threads, which share the G_AD memo of
+    ``rates``."""
     if workers < 1:
         raise ValueError("workers must be at least 1")
     n = -(-len(rows) // _CHUNK_ROWS)
     chunks = [rows[k::n] for k in range(n)]
+
+    def point(chunk):
+        return _eval_point(cfg, method, chunk)
+
     if min(workers, n) <= 1:
-        done = [_eval_point(cfg, chunk) for chunk in chunks]
+        done = list(map(point, chunks))
     else:
         with ThreadPoolExecutor(max_workers=min(workers, n)) as pool:
-            done = list(pool.map(_eval_point, [cfg] * n, chunks))
+            done = list(pool.map(point, chunks))
     records = [None] * len(rows)
     for k, recs in enumerate(done):
         records[k::n] = recs
@@ -156,26 +150,27 @@ def _run(cfg, rows, workers):
 
 
 def sweep_1d(cfg, spec, workers=1):
-    """Rate vs mediator position along the z axis (colinear geometry)."""
+    """Rate vs mediator position along the z axis (colinear geometry), one
+    run of rows per method, the methods one after another."""
     if not cfg.has_mediator:
         raise ConfigError("1-D sweep needs a mediator block in the config")
     z_a = cfg.acceptor[2] / cfg.lambda_d
-    rows = []
+    z = np.linspace(spec.z_min, spec.z_max, spec.steps).tolist()
+    records = []
     for method in spec.methods:
-        for z_lam in np.linspace(spec.z_min, spec.z_max, spec.steps):
-            z_lam = float(z_lam)
-            flag = ""
-            if method == "limits" and z_lam - z_a < 1.0:
-                flag = "nr_guard"  # mediator closer than one wavelength
-            rows.append((method, 0.0, z_lam, flag))
-    return _run(cfg, rows, workers)
+        # nr_guard: a limits row with the mediator within one wavelength
+        # of the acceptor
+        rows = [(0.0, z_lam,
+                 "nr_guard" if method == "limits" and z_lam - z_a < 1.0 else "")
+                for z_lam in z]
+        records += _run(cfg, method, rows, workers)
+    return records
 
 
 def sweep_2d(cfg, spec, workers=1):
     """Rate map over mediator positions in the x-z plane (exact tensors)."""
     if not cfg.has_mediator:
         raise ConfigError("2-D sweep needs a mediator block in the config")
-    method = "exact"
     clip = cfg.clip_radius * cfg.lambda_d
     x_lam, z_lam = (g.ravel() for g in np.meshgrid(
         np.linspace(spec.x_min, spec.x_max, spec.nx),
@@ -184,9 +179,9 @@ def sweep_2d(cfg, spec, workers=1):
     # inside the clip radius keep the flag even when evaluation succeeded
     clipped = ((_distance(pos, cfg.donor) < clip)
                | (_distance(pos, cfg.acceptor) < clip))
-    rows = [(method, x, z, "clip" if c else "")
+    rows = [(x, z, "clip" if c else "")
             for x, z, c in zip(x_lam.tolist(), z_lam.tolist(), clipped.tolist())]
-    return _run(cfg, rows, workers)
+    return _run(cfg, "exact", rows, workers)
 
 
 def _distance(points, point):

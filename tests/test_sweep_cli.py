@@ -23,6 +23,10 @@ DIELECTRIC = {"environment": {"type": "halfspace",
                                                "value": 2.25}}}
 
 
+def halfspace(**permittivity):
+    return {"environment": {"type": "halfspace", "permittivity": permittivity}}
+
+
 def write_config(tmp_path, overrides=None, name="cfg.json"):
     data = dict(BASE_CONFIG)
     if overrides:
@@ -125,6 +129,14 @@ class TestConfig:
          "dipole magnitudes"),
         ({"dipoles": {"donor_debye": 1.0, "acceptor_debye": float("inf")}},
          "dipole magnitudes"),
+        (halfspace(type="constant", value=float("nan")), "permittivity value"),
+        (halfspace(type="constant", value=1e400), "permittivity value"),
+        (halfspace(type="drude_lorentz", omega_p=float("nan"), omega_0=0.0),
+         "permittivity omega_p"),
+        (halfspace(type="drude_lorentz", omega_p=5e15, omega_0=float("inf")),
+         "permittivity omega_0"),
+        (halfspace(type="drude_lorentz", omega_p=5e15, omega_0=0.0,
+                   gamma=float("nan")), "permittivity gamma"),
     ])
     def test_non_finite_scalar(self, tmp_path, overrides, match):
         p = write_config(tmp_path, overrides)
@@ -176,7 +188,8 @@ class TestSweep:
         """The flags of a grid straddling the clip radius of the donor and
         the acceptor, one array expression, equal the flag of each row's
         own norm; the grid includes points exactly one radius away."""
-        monkeypatch.setattr(sweep, "_run", lambda cfg, rows, workers: rows)
+        monkeypatch.setattr(sweep, "_run", lambda cfg, method, rows, workers:
+                            [(method,) + row for row in rows])
         cfg = config.load_config(write_config(tmp_path))
         spec = sweep.TwoDSweep(-0.45, 0.45, 0.0, 0.9, 61, 61)
         rows = sweep.sweep_2d(cfg, spec, workers=1)
@@ -225,7 +238,7 @@ class TestSweep:
     def test_direct_leg_once_per_pair(self, tmp_path, sommerfeld_geometries):
         """A map evaluates G_AD once, then G_AM and G_MD for each row,
         counted as geometries: one tensor call may evaluate many."""
-        rates._DIRECT_LEGS.clear()
+        rates._direct_leg.cache_clear()
         cfg = config.load_config(write_config(tmp_path, DIELECTRIC))
         spec = sweep.TwoDSweep(-1.0, 1.0, 1.0, 2.0, 3, 2)
         recs = sweep.sweep_2d(cfg, spec, workers=1)
@@ -262,7 +275,7 @@ class TestSweep:
         p = write_config(tmp_path, DIELECTRIC)
 
         def run(workers):
-            rates._DIRECT_LEGS.clear()
+            rates._direct_leg.cache_clear()
             out = tmp_path / f"map-w{workers}.csv"
             rc = cli.main(["map", "--config", p, "--xmin", "-1.0", "--xmax",
                            "1.0", "--zmin", "0.6", "--zmax", "2.0", "--nx",
@@ -279,13 +292,13 @@ class TestSweep:
                                      tmp_path)
 
     def test_sweep_z_worker_determinism(self, tmp_path, monkeypatch):
-        """sweep-z over a dielectric, both methods: chunks of 4 rows mix
-        limits and exact rows and run on 2 and 3 threads with the same
-        bytes, which agree with one 14-row chunk's within quad_rtol."""
+        """sweep-z over a dielectric, both methods: chunks of 4 rows, two
+        per method, run on 2 and 3 threads with the same bytes, which agree
+        with one 7-row chunk per method within quad_rtol."""
         p = write_config(tmp_path, DIELECTRIC)
 
         def run(workers):
-            rates._DIRECT_LEGS.clear()
+            rates._direct_leg.cache_clear()
             out = tmp_path / f"z-w{workers}.csv"
             rc = cli.main(["sweep-z", "--config", p, "--zmin", "0.6", "--zmax",
                            "2.0", "--steps", "7", "--method", "both", "--out",
@@ -306,13 +319,13 @@ class TestSweep:
         is always evaluated on its own."""
         cfg = config.load_config(write_config(tmp_path, DIELECTRIC))
         spec = sweep.OneDSweep(0.6, 2.0, 9, methods=("exact",))
-        rates._DIRECT_LEGS.clear()
+        rates._direct_leg.cache_clear()
         rates.rate_isotropic(cfg.d_donor, cfg.d_acceptor, cfg.donor,
                              cfg.acceptor, cfg.environment, cfg.omega,
                              method="exact", rtol=cfg.quad_rtol)
-        assert len(rates._DIRECT_LEGS) == 1
+        assert rates._direct_leg.cache_info().currsize == 1
         warm = sweep.sweep_1d(cfg, spec)
-        rates._DIRECT_LEGS.clear()
+        rates._direct_leg.cache_clear()
         assert sweep.sweep_1d(cfg, spec) == warm
 
     def test_direct_leg_once_per_thread(self, tmp_path, monkeypatch,
@@ -324,7 +337,7 @@ class TestSweep:
         spec = sweep.TwoDSweep(-1.0, 1.0, 0.6, 2.0, 4, 3)
         r_a, r_d = tuple(cfg.acceptor), tuple(cfg.donor)
         for workers, most in ((1, 1), (2, 2)):
-            rates._DIRECT_LEGS.clear()
+            rates._direct_leg.cache_clear()
             sommerfeld_geometries.clear()
             recs = sweep.sweep_2d(cfg, spec, workers=workers)
             assert all(np.isfinite(r.gamma) for r in recs)
@@ -338,12 +351,12 @@ class TestSweep:
         byte for byte."""
         cfg = config.load_config(write_config(tmp_path, DIELECTRIC))
         z_d = cfg.donor[2] / cfg.lambda_d
-        rows = [("exact", x, z, "") for x, z in
+        rows = [(x, z, "") for x, z in
                 ((-1.0, 1.0), (0.0, z_d + 5e-5), (0.5, 2.0), (1.0, 0.6))]
-        recs = sweep._eval_point(cfg, rows)
+        recs = sweep._eval_point(cfg, "exact", rows)
         assert recs[1].flag == "error:GeometryError" and np.isnan(recs[1].gamma)
         for k in (0, 2, 3):
-            alone, = sweep._eval_point(cfg, [rows[k]])
+            alone, = sweep._eval_point(cfg, "exact", [rows[k]])
             assert recs[k].flag == "" and repr(recs[k]) == repr(alone)
 
     def test_csv_roundtrip(self, tmp_path):
