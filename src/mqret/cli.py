@@ -18,7 +18,7 @@ import numpy as np
 from .config import load_config
 from .core import angular_frequency
 from .greens import HalfSpace, PerfectMirror, Vacuum, green_total
-from .media import Constant, PerfectReflector, StaticScalar
+from .media import Constant, StaticScalar
 from .rates import Mediator, rate_isotropic
 from .sweep import OneDSweep, TwoDSweep, emit, sweep_1d, sweep_2d
 
@@ -38,16 +38,15 @@ def _cmd_rate(args):
     mediator = None
     if cfg.mediator is not None:
         mediator = Mediator(cfg.mediator, StaticScalar(cfg.alpha))
-    method = cfg.method if cfg.method != "auto" else "exact"
     res = rate_isotropic(cfg.d_donor, cfg.d_acceptor, cfg.donor, cfg.acceptor,
                          cfg.environment, cfg.omega, mediator=mediator,
-                         method=method, rtol=cfg.quad_rtol)
+                         method=cfg.method, rtol=cfg.quad_rtol)
     json.dump(
         {
             "gamma": res.gamma,
             "gamma_normalized": res.gamma_normalized,
             "error_estimate": res.error_estimate,
-            "method": method,
+            "method": cfg.method,
         },
         sys.stdout,
         indent=1,
@@ -80,12 +79,10 @@ def _cmd_map(args):
 def _cmd_green(args):
     if args.env == "vacuum":
         env = Vacuum()
-    elif args.env == "mirror":
-        env = PerfectMirror()
-    elif args.eps is not None:
+    elif args.env == "halfspace" and args.eps is not None:
         env = HalfSpace(Constant(args.eps))
     else:
-        env = HalfSpace(PerfectReflector())
+        env = PerfectMirror()
     omega = angular_frequency(args.wavelength_nm * 1e-9)
     lam = args.wavelength_nm * 1e-9
     r = np.array([args.rx, args.ry, args.rz]) * lam
@@ -169,7 +166,9 @@ def build_parser():
     p.add_argument("--env", choices=("vacuum", "mirror", "halfspace"),
                    required=True)
     p.add_argument("--eps", type=float, default=None,
-                   help="real permittivity for --env halfspace")
+                   help="real permittivity for --env halfspace; without it "
+                        "the half-space is a perfect reflector, the same "
+                        "environment as --env mirror")
     p.add_argument("--wavelength-nm", type=float, default=1000.0)
     p.add_argument("--rx", type=float, required=True,
                    help="observation point, lambda units")
@@ -181,8 +180,9 @@ def build_parser():
     p.add_argument("--rpz", type=float, required=True)
     p.add_argument("--part", choices=("bulk", "scatter", "total"),
                    default="total")
-    p.add_argument("--method", choices=("auto", "exact", "nr", "r"),
-                   default="auto")
+    p.add_argument("--method", choices=("exact", "nr", "r"), default="exact",
+                   type=lambda m: "exact" if m == "auto" else m,
+                   help='"auto" is read as "exact"')
     p.set_defaults(func=_cmd_green)
 
     p = sub.add_parser("verify", help="run the oracle verification suite")

@@ -13,7 +13,7 @@ import numpy as np
 
 from .core import C, DEBYE, EPS0, angular_frequency
 from .greens import HalfSpace, PerfectMirror, Vacuum
-from .media import Constant, DrudeLorentz, PerfectReflector
+from .media import Constant, DrudeLorentz
 
 
 class ConfigError(ValueError):
@@ -32,7 +32,7 @@ class SimulationConfig:
     alpha: float                  # SI polarizability, C^2 m^2 / J
     d_donor: float                # C*m
     d_acceptor: float             # C*m
-    method: str                   # auto | limits | exact
+    method: str                   # limits | exact ("auto" reads as exact)
     quad_rtol: float
     clip_radius: float            # lambda_D units, for 2-D maps
 
@@ -70,7 +70,7 @@ def _parse_environment(data):
                 gamma=_finite(perm, "gamma", default=0.0),
             ))
         if pkind == "perfect":
-            return HalfSpace(PerfectReflector())
+            return PerfectMirror()
         raise ConfigError(f"unknown permittivity type '{pkind}'")
     raise ConfigError(f"unknown environment type '{kind}'")
 
@@ -118,9 +118,11 @@ def parse_config(data):
         d_donor = float(_require(dip, "donor_debye", "dipoles")) * DEBYE
         d_acceptor = float(_require(dip, "acceptor_debye", "dipoles")) * DEBYE
 
-    method = data.get("method", "auto")
+    method = data.get("method", "exact")
     if method not in ("auto", "limits", "exact"):
         raise ConfigError(f"unknown method '{method}'")
+    if method == "auto":
+        method = "exact"
 
     cfg = SimulationConfig(
         environment=env,
@@ -142,7 +144,7 @@ def parse_config(data):
 
 
 def _validate(cfg):
-    near_surface = isinstance(cfg.environment, (HalfSpace, PerfectMirror))
+    near_surface = isinstance(cfg.environment, HalfSpace)
     bodies = {"donor": cfg.donor, "acceptor": cfg.acceptor}
     if cfg.mediator is not None:
         bodies["mediator"] = cfg.mediator

@@ -3,7 +3,8 @@
 Vacuum bulk tensor (closed form plus near- and far-zone limits), half-space
 scattering tensor (on-axis analytic limits and a full angular-spectrum
 Sommerfeld evaluation), image construction for a perfect mirror, and total
-tensor assembly per environment.
+tensor assembly per environment. There are two environments, ``Vacuum`` and
+``HalfSpace``; the perfect mirror is the half-space of a perfect reflector.
 
 Conventions: the bulk tensor follows the quasi-static form
 -(c^2 e^{ik rho} / 4 pi w^2 rho^3)(I - 3 e⊗e); its large-distance limit is
@@ -29,7 +30,7 @@ per distinct lateral distance; a batch of scattered points runs in blocks of
 neighbouring heights (see :func:`halfspace_scatter_full`).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,15 +64,13 @@ class Vacuum:
 class HalfSpace:
     """Dielectric filling z < 0; vacuum for z > 0."""
 
-    material: object = field(default_factory=PerfectReflector)
+    material: object
 
 
-@dataclass(frozen=True)
-class PerfectMirror:
-    """Perfectly reflecting plane at z = 0."""
-
-
-Environment = Vacuum | HalfSpace | PerfectMirror
+def PerfectMirror():  # noqa: N802 -- reads as the environment it builds
+    """Perfectly reflecting plane at z = 0: the half-space of a perfect
+    reflector."""
+    return HalfSpace(PerfectReflector())
 
 
 def _outer(e):
@@ -91,24 +90,15 @@ def _separation(r, r_prime):
     return rho_vec, rho
 
 
-def vacuum_bulk(rho_vec, omega):
-    """Homogeneous-space dyadic for separation vector rho_vec.
-
-    Accepts complex omega (used by the contour-identity oracle on the
-    imaginary frequency axis).
-    """
-    rho_vec, rho = _separation(rho_vec, 0.0)
+def vacuum_bulk_exact(r, r_prime, omega):
+    """Closed-form vacuum Green's tensor G0(r, r', omega); omega may be
+    complex."""
+    rho_vec, rho = _separation(r, r_prime)
     e = rho_vec / rho[..., None]
     x = omega * rho / C
     pref = -(C**2) * np.exp(1j * x) / (4.0 * np.pi * omega**2 * rho**3)
     return _tensor(pref) * (_tensor(1.0 - 1j * x - x**2) * IDENTITY
                             - _tensor(3.0 - 3j * x - x**2) * _outer(e))
-
-
-def vacuum_bulk_exact(r, r_prime, omega):
-    """Closed-form vacuum Green's tensor G0(r, r', omega)."""
-    return vacuum_bulk(np.asarray(r, dtype=float) - np.asarray(r_prime, dtype=float),
-                       omega)
 
 
 def vacuum_bulk_nr(r, r_prime, omega, include_phase=True):
@@ -144,8 +134,6 @@ def limit_reflection(env_or_material, omega):
     obj = env_or_material
     if isinstance(obj, Vacuum):
         return 0.0 + 0j, 0.0 + 0j
-    if isinstance(obj, PerfectMirror):
-        return 1.0 + 0j, -1.0 + 0j
     if isinstance(obj, HalfSpace):
         obj = obj.material
     if isinstance(obj, PerfectReflector):
@@ -198,11 +186,8 @@ def mirror_scatter_exact(r, r_prime, omega):
     of r'; the sign convention reproduces Fresnel constants r_s = -1,
     r_p = +1.
     """
-    r = np.asarray(r, dtype=float)
-    rp = np.asarray(r_prime, dtype=float)
-    if np.any(r[..., 2] <= 0.0) or np.any(rp[..., 2] <= 0.0):
-        raise GeometryError("both points must lie above the mirror (z > 0)")
-    return -vacuum_bulk(r - rp * _IMAGE_PARITY, omega) * _IMAGE_PARITY
+    r, rp, _, _ = _heights(r, r_prime)
+    return -vacuum_bulk_exact(r, rp * _IMAGE_PARITY, omega) * _IMAGE_PARITY
 
 
 # --- half-space scattering: full Sommerfeld evaluation -----------------------
@@ -236,7 +221,7 @@ def _kernel_columns(k_par, k_z, k1, refl):
     """The phi-integrated integrand, apart from its weight and e^{i k_z Z},
     as four columns (c1 - c2, c1 + c2, c3, c4) that multiply J0, J2, J0 and
     J1 of k_par rho: c1 = r_s, c2 = r_p (k_z/k1)^2, c3 = 2 r_p (k_par/k1)^2,
-    c4 = -2i r_p k_z k_par / k1^2. :func:`_five` turns them into the
+    c4 = -2i r_p k_z k_par / k1^2. :func:`_components` turns them into the
     components."""
     r_s, r_p = refl(k_par)
     c2 = r_p * (k_z / k1) ** 2
@@ -244,31 +229,33 @@ def _kernel_columns(k_par, k_z, k1, refl):
                      -2j * r_p * k_z * k_par / k1**2], axis=-1)
 
 
-def _five(cols):
-    """Components (xx, yy, zz, xz, zx) from the four Bessel-weighted columns
-    of :func:`_kernel_columns` along the last axis."""
+def _components(cols):
+    """Components (xx, yy, zz, xz) from the four Bessel-weighted columns of
+    :func:`_kernel_columns` along the last axis; zx = -xz."""
     a, b, c, d = np.moveaxis(cols, -1, 0)
-    return np.stack([a + b, a - b, c, d, -d], axis=-1)
+    return np.stack([a + b, a - b, c, d], axis=-1)
 
 
 def _angular_components(k_par, k_z, k1, big_z, lateral, refl, weight=1.0):
     """phi-integrated integrand components in the frame with the lateral
     separation along +x.
 
-    Returns shape (n, 5): (xx, yy, zz, xz, zx) including the e^{i k_z Z}
+    Returns shape (n, 4): (xx, yy, zz, xz) including the e^{i k_z Z}
     propagation factor and a per-node ``weight`` (the contour jacobian, if
     the caller wants it in).
     """
     b0, b1, b2 = _bessel_j012(k_par * lateral)
     w = np.pi * weight * np.exp(1j * k_z * big_z)
     cols = _kernel_columns(k_par, k_z, k1, refl)
-    return _five(w[..., None] * cols * np.stack([b0, b2, b0, b1], axis=-1))
+    return _components(w[..., None] * cols * np.stack([b0, b2, b0, b1], axis=-1))
 
 
 def _assemble(comps, phi0):
-    """Tensor R g R^T from components ``(..., 5)`` in the frame with the
-    lateral separation along +x, rotated by ``phi0`` about z."""
-    xx, yy, zz, xz, zx = np.moveaxis(np.asarray(comps, dtype=complex), -1, 0)
+    """Tensor R g R^T from components ``(..., 4)`` (xx, yy, zz, xz) in the
+    frame with the lateral separation along +x, where zx = -xz, rotated by
+    ``phi0`` about z."""
+    xx, yy, zz, xz = np.moveaxis(np.asarray(comps, dtype=complex), -1, 0)
+    zx = -xz
     c, s = np.cos(phi0), np.sin(phi0)
     cs = c * s * (xx - yy)
     return np.stack([
@@ -379,8 +366,8 @@ def _seeded_edges(lo, hi):
 
 
 def _sommerfeld_run(terms, k1, refl, t_b, rtol, max_panels):
-    """Components (xx, yy, zz, xz, zx) of the geometries of one shared
-    adaptive run, shape (n, 5), and their error estimates.
+    """Components (xx, yy, zz, xz) of the geometries of one shared
+    adaptive run, shape (n, 4), and their error estimates.
 
     ``terms`` are the batch's distinct heights and lateral offsets from
     :func:`_distinct_terms`. The run starts from the segments of
@@ -417,7 +404,7 @@ def _sommerfeld_run(terms, k1, refl, t_b, rtol, max_panels):
                     * np.take(cols, rho_of, axis=2))
             sums = (RULES @ pair.reshape(n_pan, n_node, -1)).reshape(
                 n_pan, 2, len(z_of), 4).transpose(1, 0, 2, 3)
-        return _five(sums)
+        return _components(sums)
 
     return adaptive_quad_vec(integrand, *edges, rtol=rtol,
                              max_panels=max_panels)
@@ -491,7 +478,7 @@ def halfspace_scatter_full(r, r_prime, omega, material, rtol=1e-9,
     k1 = omega / C
     refl = _reflection_callable(material, omega)
     t_b = _branch_edge(material, omega)
-    comps = np.empty((len(z_sum), 5), dtype=complex)
+    comps = np.empty((len(z_sum), 4), dtype=complex)
     err = np.empty(comps.shape)
     for block, block_terms in blocks:
         comps[block], err[block] = _sommerfeld_run(
@@ -504,32 +491,31 @@ def halfspace_scatter_full(r, r_prime, omega, material, rtol=1e-9,
 
 # --- total tensor assembly ---------------------------------------------------
 
-def green_scatter(env, r, r_prime, omega, method="auto", rtol=1e-9):
+def green_scatter(env, r, r_prime, omega, method="exact", rtol=1e-9):
     """Scattering part of the Green's tensor for an environment.
 
-    ``method``: "auto"/"exact" (image construction or full Sommerfeld),
-    "nr" or "r" (on-axis analytic limits).
+    ``method``: "exact" (image construction or full Sommerfeld), "nr" or
+    "r" (on-axis analytic limits).
     """
+    if method not in ("exact", "nr", "r"):
+        raise ValueError(f"unknown method {method!r}")
     if isinstance(env, Vacuum):
         shape = np.broadcast_shapes(np.shape(r), np.shape(r_prime))[:-1]
         return np.zeros(shape + (3, 3), dtype=complex), 0.0
-    if method in ("nr", "r"):
+    if not isinstance(env, HalfSpace):
+        raise TypeError(f"unknown environment {env!r}")
+    if method != "exact":
         fn = halfspace_scatter_nr if method == "nr" else halfspace_scatter_r
         return fn(r, r_prime, omega, env), 0.0
-    if method not in ("auto", "exact"):
-        raise ValueError(f"unknown method {method!r}")
-    if isinstance(env, PerfectMirror):
+    if isinstance(env.material, PerfectReflector):
         return mirror_scatter_exact(r, r_prime, omega), 0.0
-    if isinstance(env, HalfSpace):
-        if isinstance(env.material, PerfectReflector):
-            return mirror_scatter_exact(r, r_prime, omega), 0.0
-        return halfspace_scatter_full(r, r_prime, omega, env.material, rtol=rtol)
-    raise TypeError(f"unknown environment {env!r}")
+    return halfspace_scatter_full(r, r_prime, omega, env.material, rtol=rtol)
 
 
-def green_bulk(r, r_prime, omega, method="auto", include_phase=True):
-    """Bulk (homogeneous-space) part per requested method."""
-    if method in ("auto", "exact"):
+def green_bulk(r, r_prime, omega, method="exact", include_phase=True):
+    """Bulk (homogeneous-space) part per requested method: "exact", "nr"
+    or "r"."""
+    if method == "exact":
         return vacuum_bulk_exact(r, r_prime, omega)
     if method == "nr":
         return vacuum_bulk_nr(r, r_prime, omega, include_phase=include_phase)
@@ -538,7 +524,7 @@ def green_bulk(r, r_prime, omega, method="auto", include_phase=True):
     raise ValueError(f"unknown method {method!r}")
 
 
-def green_total(env, r, r_prime, omega, part="total", method="auto",
+def green_total(env, r, r_prime, omega, part="total", method="exact",
                 rtol=1e-9):
     """Total (bulk + scattering) Green's tensor.
 

@@ -91,8 +91,12 @@ def _panels(f, lo, hi):
         raise ValueError(f"integrand returned shape {sums.shape} for {n} "
                          f"panels; expected (2, {n}, ...)")
     h = h.reshape((n,) + (1,) * (sums.ndim - 2))
-    kron = h * sums[0]
-    return kron, np.abs(kron - h * sums[1])
+    # an infinite integrand makes K21 - G10 inf - inf (and a complex one
+    # h * (inf + 0j) an inf * 0); the NaN is what lets adaptive_quad_vec
+    # name a non-finite integrand, so it must not warn here
+    with np.errstate(invalid="ignore"):
+        kron = h * sums[0]
+        return kron, np.abs(kron - h * sums[1])
 
 
 def adaptive_quad_vec(f, a, b, rtol=1e-9, atol=0.0, max_panels=4000):

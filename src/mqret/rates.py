@@ -12,7 +12,7 @@ reference formulas used for consistency checks.
 The "limits" method takes the quasi-static (phase-free) near-zone tensor on
 the donor-acceptor leg and the far-zone tensors on both mediator legs,
 matching the approximation scheme behind the closed-form colinear rate. The
-"exact"/"auto" methods use the closed-form bulk tensor plus the image or
+"exact" method uses the closed-form bulk tensor plus the image or
 Sommerfeld scattering tensor.
 """
 
@@ -22,13 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import C, HBAR, MU0, EPS0, TINY, GeometryError, wavelength
-from .greens import (
-    HalfSpace,
-    PerfectMirror,
-    green_bulk,
-    green_scatter,
-    limit_reflection,
-)
+from .greens import HalfSpace, green_bulk, green_scatter, limit_reflection
 from .media import polarizability
 
 MIN_SEPARATION_WAVELENGTHS = 1e-4
@@ -73,21 +67,23 @@ def _check_geometry(positions, omega):
 
 
 def _check_heights(env, positions):
-    if isinstance(env, (HalfSpace, PerfectMirror)):
+    if isinstance(env, HalfSpace):
         for p in positions:
             if np.any(np.asarray(p)[..., 2] <= 0.0):
                 raise GeometryError("all bodies must satisfy z > 0 near a surface")
 
 
-def _green(env, r, r_prime, omega, method, rtol, include_phase=True):
+def _green(env, r, r_prime, omega, method, rtol):
     """Total tensor and a bound on the Frobenius norm of its error.
 
-    The Sommerfeld estimate is relative to the largest of the five
-    components (xx, yy, zz, xz, zx) of the scattering tensor in its own
-    frame; the rotation keeps the Frobenius norm, so the absolute error is
-    at most sqrt(5) times that estimate times the tensor's Frobenius norm.
+    The "nr" bulk tensor is the phase-free one of the "limits" direct leg.
+    The Sommerfeld estimate is relative to the largest of the components
+    (xx, yy, zz, xz) of the scattering tensor in its own frame, where it
+    has five non-zero entries (zx = -xz); the rotation keeps the Frobenius
+    norm, so the absolute error is at most sqrt(5) times that estimate
+    times the tensor's Frobenius norm.
     """
-    gb = green_bulk(r, r_prime, omega, method=method, include_phase=include_phase)
+    gb = green_bulk(r, r_prime, omega, method=method, include_phase=False)
     gs, err = green_scatter(env, r, r_prime, omega, method=method, rtol=rtol)
     if np.any(err):   # the closed forms are exact and report 0.0
         err = np.sqrt(5.0) * err * np.sqrt(_norm2(gs))
@@ -95,7 +91,7 @@ def _green(env, r, r_prime, omega, method, rtol, include_phase=True):
 
 
 @functools.lru_cache(maxsize=8)
-def _direct_leg(env, r_a, r_d, omega, method, rtol, include_phase):
+def _direct_leg(env, r_a, r_d, omega, method, rtol):
     """G_AD and the bound on its error for one donor-acceptor pair, given
     as ``_point_key`` tuples; the eight most recent pairs are kept, so that
     a sweep over mediator positions evaluates G_AD once per pair.
@@ -105,8 +101,7 @@ def _direct_leg(env, r_a, r_d, omega, method, rtol, include_phase):
     in a batch), so a hit returns exactly what a fresh evaluation would.
     The returned tensor is read-only because every hit shares it.
     """
-    g_ad, err = _green(env, np.array(r_a), np.array(r_d), omega, method, rtol,
-                       include_phase)
+    g_ad, err = _green(env, np.array(r_a), np.array(r_d), omega, method, rtol)
     g_ad.flags.writeable = False
     return g_ad, err
 
@@ -116,16 +111,16 @@ def _point_key(r):
     return tuple((np.asarray(r, dtype=float) + 0.0).tolist())
 
 
-def _coupling(env, r_a, r_d, omega, mediator=None, method="auto", rtol=1e-9):
+def _coupling(env, r_a, r_d, omega, mediator=None, method="exact", rtol=1e-9):
     """The tensors of one geometry: ``(G_AD, mu0 w^2 alpha G_AM G_MD, err)``.
 
     Their sum is the coupling tensor F(A, M, D); the mediated term is zero
     without a mediator or at alpha = 0. ``method`` "limits" uses the
     phase-free near-zone tensor for the direct leg and the far-zone tensors
-    for both mediator legs; "exact"/"auto"/"nr"/"r" use that tensor on every
-    leg. ``err`` bounds the Frobenius norm of the error of F, propagated to
-    first and second order from the absolute error of each leg. Reciprocity
-    gives F(D, M, A) = F(A, M, D)^T, so no rate needs the reversed legs.
+    for both mediator legs; "exact" uses the exact tensor on every leg.
+    ``err`` bounds the Frobenius norm of the error of F, propagated to first
+    and second order from the absolute error of each leg. Reciprocity gives
+    F(D, M, A) = F(A, M, D)^T, so no rate needs the reversed legs.
     G_AD comes from the ``_direct_leg`` memo, so that it is the same
     whatever else the sweep evaluates, and is read-only.
 
@@ -134,12 +129,9 @@ def _coupling(env, r_a, r_d, omega, mediator=None, method="auto", rtol=1e-9):
     Sommerfeld tensors share one panel set, so each depends, within the
     quadrature tolerance, on which positions share the call.
     """
-    if method == "limits":
-        direct, phase, legs = "nr", False, "r"
-    elif method in ("auto", "exact", "nr", "r"):
-        direct, phase, legs = method, True, method
-    else:
+    if method not in ("exact", "limits"):
         raise ValueError(f"unknown method {method!r}")
+    direct, legs = ("nr", "r") if method == "limits" else ("exact", "exact")
     positions = [r_d, r_a]
     alpha = 0.0
     if mediator is not None:
@@ -149,7 +141,7 @@ def _coupling(env, r_a, r_d, omega, mediator=None, method="auto", rtol=1e-9):
     _check_heights(env, positions)
 
     g_ad, err = _direct_leg(env, _point_key(r_a), _point_key(r_d),
-                            float(omega), direct, float(rtol), phase)
+                            float(omega), direct, float(rtol))
     batch = np.shape(mediator.position)[:-1] if mediator is not None else ()
     if alpha == 0.0:
         return g_ad, np.zeros(batch + (3, 3), dtype=complex), err + np.zeros(batch)
@@ -171,7 +163,7 @@ def _coupling(env, r_a, r_d, omega, mediator=None, method="auto", rtol=1e-9):
     return g_ad, scale * (g_am @ g_md), err + abs(scale) * e_med
 
 
-def rate_oriented(donor, acceptor, env, omega, mediator=None, method="auto",
+def rate_oriented(donor, acceptor, env, omega, mediator=None, method="exact",
                   rtol=1e-9):
     """Oriented transfer rate from Fermi's golden rule.
 
@@ -201,7 +193,7 @@ def rate_oriented(donor, acceptor, env, omega, mediator=None, method="auto",
 
 
 def rate_isotropic(d_donor, d_acceptor, r_donor, r_acceptor, env, omega,
-                   mediator=None, method="auto", rtol=1e-9):
+                   mediator=None, method="exact", rtol=1e-9):
     """Isotropically averaged transfer rate.
 
     ``d_donor`` and ``d_acceptor`` are dipole magnitudes (C*m); the averaging

@@ -84,7 +84,7 @@ class TestLimitScan:
 
 class TestBattery:
     def test_run_verification_all_pass(self):
-        reports = oracles.run_verification(OMEGA)
+        reports = oracles.run_verification()
         names = [r.name for r in reports]
         assert len(set(names)) == len(names)
         for rep in reports:

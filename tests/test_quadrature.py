@@ -114,14 +114,28 @@ def test_budget_exhaustion():
 
 
 def test_nan_integrand_fails_fast():
-    """A NaN integrand value raises QuadratureError after the first round,
-    alone and beside a finite integral of a batch, instead of a round that
-    bisects no panel."""
+    """A NaN or infinite integrand value raises QuadratureError after the
+    first round, alone and beside a finite integral of a batch, instead of
+    a round that bisects no panel or a RuntimeWarning. The infinite
+    integrands return their panel sums themselves, since ``by_nodes`` would
+    multiply inf by the zero G10 weights."""
     def f(x):
         return np.where(x > 0.7, np.nan, np.cos(x)) + 0j
 
-    for g in (f, lambda x: np.stack([np.cos(x) + 0j, f(x)], axis=1)[:, :, None]):
-        counted, sizes = recording(by_nodes(g))
+    def infinite(value):
+        return lambda x: np.full((2, x.size // RULES.shape[1]), value)
+
+    def beside_cos(sums):
+        cos = by_nodes(lambda x: np.cos(x) + 0j)
+        return lambda x: np.stack([cos(x), sums(x)], axis=2)[..., None]
+
+    integrands = [by_nodes(f),
+                  by_nodes(lambda x: np.stack([np.cos(x) + 0j, f(x)],
+                                              axis=1)[:, :, None])]
+    for value in (np.inf, -np.inf, complex(np.inf, 0.0)):
+        integrands += [infinite(value), beside_cos(infinite(value))]
+    for g in integrands:
+        counted, sizes = recording(g)
         with pytest.raises(QuadratureError, match="non-finite") as info:
             adaptive_quad_vec(counted, 0.0, 1.0)
         assert np.isnan(info.value.estimate) and sizes == [21]

@@ -340,6 +340,18 @@ class TestGuards:
         with pytest.raises(ValueError):
             dip([0, 0, 0], [0, 0, 0])
 
+    @pytest.mark.parametrize("method", ["auto", "nr", "r"])
+    def test_rates_take_exact_or_limits(self, method):
+        """Rates take "exact" and "limits" only: "auto" is read as "exact"
+        where input is parsed, and "nr" and "r" are tensor methods."""
+        r_d, r_a = np.array([0, 0, 0.1 * LAM]), np.array([0, 0, 0.2 * LAM])
+        with pytest.raises(ValueError, match="method"):
+            rates.rate_isotropic(D1, D1, r_d, r_a, greens.PerfectMirror(),
+                                 OMEGA, method=method)
+        with pytest.raises(ValueError, match="method"):
+            rates.rate_oriented(dip(r_d, [D1, 0, 0]), dip(r_a, [D1, 0, 0]),
+                                greens.PerfectMirror(), OMEGA, method=method)
+
     def test_nonpositive_magnitude(self):
         with pytest.raises(ValueError):
             rates.rate_isotropic(

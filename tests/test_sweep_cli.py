@@ -6,7 +6,7 @@ import pytest
 
 from mqret import cli, config, greens, rates, sweep
 from mqret.core import DEBYE
-from mqret.media import Constant, PerfectReflector
+from mqret.media import Constant, PerfectReflector, StaticScalar
 
 
 BASE_CONFIG = {
@@ -39,7 +39,7 @@ def write_config(tmp_path, overrides=None, name="cfg.json"):
 class TestConfig:
     def test_parse_mirror(self, tmp_path):
         cfg = config.load_config(write_config(tmp_path))
-        assert isinstance(cfg.environment, greens.PerfectMirror)
+        assert cfg.environment == greens.PerfectMirror()
         assert cfg.lambda_d == 1e-6
         assert cfg.donor[2] == pytest.approx(0.3e-6)
         assert cfg.has_mediator
@@ -54,6 +54,23 @@ class TestConfig:
         cfg = config.load_config(p)
         assert isinstance(cfg.environment, greens.HalfSpace)
         assert cfg.environment.material == Constant(2.25)
+
+    def test_perfect_halfspace_is_the_mirror(self, tmp_path):
+        """A half-space of a perfect reflector is the mirror: the same
+        environment and bit-equal rates."""
+        mirror = config.load_config(write_config(tmp_path, name="m.json"))
+        perfect = config.load_config(write_config(
+            tmp_path, halfspace(type="perfect"), name="p.json"))
+        assert perfect.environment == mirror.environment
+        mediator = rates.Mediator(np.array([[0.0, 0.0, 0.6], [0.0, 0.0, 1.2]])
+                                  * mirror.lambda_d, StaticScalar(mirror.alpha))
+        for method in ("limits", "exact"):
+            a, b = (rates.rate_isotropic(
+                cfg.d_donor, cfg.d_acceptor, cfg.donor, cfg.acceptor,
+                cfg.environment, cfg.omega, mediator=mediator, method=method)
+                for cfg in (mirror, perfect))
+            for field in ("gamma", "gamma_normalized", "error_estimate"):
+                assert np.array_equal(getattr(a, field), getattr(b, field))
 
     def test_parse_omega(self, tmp_path):
         p = write_config(tmp_path, {"omega_d": 1.5e15})
@@ -409,6 +426,17 @@ class TestCli:
         assert doc["gamma_normalized"] > 0.0
         assert "gamma" in doc
 
+    def test_rate_command_auto_is_exact(self, tmp_path, capsys):
+        """A config's "auto" method loads as "exact" and gives its rate."""
+        docs = []
+        for method in ("auto", "exact"):
+            p = write_config(tmp_path, {"method": method, "mediator": {
+                "z": 2.0, "polarizability_volume": 0.1}}, name=f"{method}.json")
+            assert config.load_config(p).method == "exact"
+            assert cli.main(["rate", "--config", p]) == 0
+            docs.append(json.loads(capsys.readouterr().out))
+        assert docs[0] == docs[1] and docs[0]["method"] == "exact"
+
     def test_sweep_z_command(self, tmp_path):
         p = write_config(tmp_path)
         out = str(tmp_path / "sweep.csv")
@@ -477,6 +505,15 @@ class TestCli:
         assert rc == 0
         out = capsys.readouterr().out
         assert "e" in out and len(out.splitlines()) >= 3
+
+    def test_green_command_auto_is_exact(self, capsys):
+        outs = []
+        for method in ("auto", "exact"):
+            assert cli.main(["green", "--env", "halfspace", "--eps", "2.25",
+                             "--method", method, "--rx", "0.1", "--rz", "0.3",
+                             "--rpx", "0.0", "--rpz", "0.5"]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
 
     def test_verify_command(self, tmp_path, capsys):
         report = str(tmp_path / "verify.json")
