@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from .config import load_config
+from .config import ConfigError, load_config
 from .core import angular_frequency
 from .greens import HalfSpace, PerfectMirror, Vacuum, green_total
 from .media import Constant, StaticScalar
@@ -77,6 +77,9 @@ def _cmd_map(args):
 
 
 def _cmd_green(args):
+    if args.eps is not None and args.env != "halfspace":
+        raise ConfigError(f"--eps applies to --env halfspace only, not "
+                          f"--env {args.env}")
     if args.env == "vacuum":
         env = Vacuum()
     elif args.env == "halfspace" and args.eps is not None:
@@ -166,8 +169,9 @@ def build_parser():
     p.add_argument("--env", choices=("vacuum", "mirror", "halfspace"),
                    required=True)
     p.add_argument("--eps", type=float, default=None,
-                   help="real permittivity for --env halfspace; without it "
-                        "the half-space is a perfect reflector, the same "
+                   help="real permittivity for --env halfspace (an error "
+                        "with the other environments); without it the "
+                        "half-space is a perfect reflector, the same "
                         "environment as --env mirror")
     p.add_argument("--wavelength-nm", type=float, default=1000.0)
     p.add_argument("--rx", type=float, required=True,

@@ -365,12 +365,13 @@ def _seeded_edges(lo, hi):
     return grid[:, :-1].ravel(), grid[:, 1:].ravel()
 
 
-def _sommerfeld_run(terms, k1, refl, t_b, rtol, max_panels):
+def _sommerfeld_run(terms, k1, refl, t_b, rtol, atol, max_panels):
     """Components (xx, yy, zz, xz) of the geometries of one shared
     adaptive run, shape (n, 4), and their error estimates.
 
     ``terms`` are the batch's distinct heights and lateral offsets from
-    :func:`_distinct_terms`. The run starts from the segments of
+    :func:`_distinct_terms`; ``atol`` holds each geometry's absolute
+    tolerance. The run starts from the segments of
     :func:`_contour_edges` for the lowest Z, each cut into
     ``_SEED_PANELS`` equal panels."""
     from .quadrature import RULES, adaptive_quad_vec
@@ -406,12 +407,12 @@ def _sommerfeld_run(terms, k1, refl, t_b, rtol, max_panels):
                 n_pan, 2, len(z_of), 4).transpose(1, 0, 2, 3)
         return _components(sums)
 
-    return adaptive_quad_vec(integrand, *edges, rtol=rtol,
+    return adaptive_quad_vec(integrand, *edges, rtol=rtol, atol=atol,
                              max_panels=max_panels)
 
 
 def halfspace_scatter_full(r, r_prime, omega, material, rtol=1e-9,
-                           max_panels=4000):
+                           max_panels=4000, atol=0.0):
     """Full scattering Green's tensor of the half-space.
 
     Angular-spectrum integral over k_par with the azimuthal integration done
@@ -433,7 +434,12 @@ def halfspace_scatter_full(r, r_prime, omega, material, rtol=1e-9,
     lone near-zone tensor converges on it in one round.
 
     A batch of points shares one contour and one adaptive panel set, each
-    geometry with its own tolerance against its own magnitude. The tail is
+    geometry with its own tolerance ``atol + rtol * max|component|`` on
+    each component (xx, yy, zz, xz) in the frame of its lateral
+    separation; ``atol``, in the units of the tensor, broadcasts against
+    the batch shape of the points, so that each geometry can have its own.
+    A rate passes the share of its error budget that each tensor may use
+    (see :mod:`mqret.rates`). The tail is
     cut where kappa (z+z') = 40 for the lowest geometry; past its own
     cut-off a higher one adds terms below e^-40. The integrand depends on
     a geometry only through e^{i k_z Z}, Z = z + z', and the Bessel
@@ -463,6 +469,7 @@ def halfspace_scatter_full(r, r_prime, omega, material, rtol=1e-9,
     r, rp, _, _ = _heights(r, r_prime)
     r, rp = np.broadcast_arrays(r, rp)
     shape = r.shape[:-1]
+    atol = np.broadcast_to(np.asarray(atol, dtype=float), shape).ravel()
     r, rp = r.reshape(-1, 3), rp.reshape(-1, 3)
     z_sum = r[:, 2] + rp[:, 2]
     dx, dy = r[:, 0] - rp[:, 0], r[:, 1] - rp[:, 1]
@@ -482,7 +489,7 @@ def halfspace_scatter_full(r, r_prime, omega, material, rtol=1e-9,
     err = np.empty(comps.shape)
     for block, block_terms in blocks:
         comps[block], err[block] = _sommerfeld_run(
-            block_terms, k1, refl, t_b, rtol, max_panels)
+            block_terms, k1, refl, t_b, rtol, atol[block], max_panels)
     scale = np.maximum(np.abs(comps).max(axis=1), 1e-300)
     g = _assemble(comps, phi0).reshape(shape + (3, 3))
     rel = (err.max(axis=1) / scale).reshape(shape)
@@ -491,11 +498,14 @@ def halfspace_scatter_full(r, r_prime, omega, material, rtol=1e-9,
 
 # --- total tensor assembly ---------------------------------------------------
 
-def green_scatter(env, r, r_prime, omega, method="exact", rtol=1e-9):
+def green_scatter(env, r, r_prime, omega, method="exact", rtol=1e-9,
+                  atol=0.0):
     """Scattering part of the Green's tensor for an environment.
 
     ``method``: "exact" (image construction or full Sommerfeld), "nr" or
-    "r" (on-axis analytic limits).
+    "r" (on-axis analytic limits). ``rtol`` and ``atol`` are the
+    tolerances of a Sommerfeld evaluation (see
+    :func:`halfspace_scatter_full`); the closed forms ignore them.
     """
     if method not in ("exact", "nr", "r"):
         raise ValueError(f"unknown method {method!r}")
@@ -509,7 +519,8 @@ def green_scatter(env, r, r_prime, omega, method="exact", rtol=1e-9):
         return fn(r, r_prime, omega, env), 0.0
     if isinstance(env.material, PerfectReflector):
         return mirror_scatter_exact(r, r_prime, omega), 0.0
-    return halfspace_scatter_full(r, r_prime, omega, env.material, rtol=rtol)
+    return halfspace_scatter_full(r, r_prime, omega, env.material, rtol=rtol,
+                                  atol=atol)
 
 
 def green_bulk(r, r_prime, omega, method="exact", include_phase=True):

@@ -11,7 +11,8 @@ absolute-plus-relative tolerance; the achieved error estimate is returned
 alongside the integral so callers (and tests) can consume it.
 
 Several integrals can share one run and one panel set. Each keeps its own
-tolerance, its own error estimate on the shared panels and its own
+tolerance (its own absolute term and a relative one against its own
+magnitude), its own error estimate on the shared panels and its own
 rounding-floor exit, and its result is the one of the round in which it
 converged. A round bisects the union of the panels that each unconverged
 integral would bisect on its own. The integrand reduces each panel itself:
@@ -118,7 +119,10 @@ def adaptive_quad_vec(f, a, b, rtol=1e-9, atol=0.0, max_panels=4000):
     its panel sum (QUADPACK floors each panel's error the same way); the
     floor enters the returned estimate only, not the decision to refine.
     The per-component tolerance of each integral is
-    ``atol + rtol * max|integral|``. The run holds at most ``max_panels``
+    ``atol + rtol * max|integral|``; ``atol`` is one value for all or, with
+    S = (N, m), one per integral (shape (N,)), so that an integral whose
+    absolute error is allowed to be large stops while its neighbours
+    refine. The run holds at most ``max_panels``
     panels for one integral, and min(N, ``_SHARED_BUDGETS``) = min(N, 4)
     times as many for N integrals, whose union may need more panels than
     any one of them alone. :class:`QuadratureError`, carrying the relative
@@ -141,6 +145,7 @@ def adaptive_quad_vec(f, a, b, rtol=1e-9, atol=0.0, max_panels=4000):
     per_panel = (len(lo), shape[0] if len(shape) == 2 else 1, -1)
     val, err = val.reshape(per_panel), err.reshape(per_panel)
     n_int = val.shape[1]
+    atol = np.broadcast_to(np.asarray(atol, dtype=float), (n_int,))
     budget = max_panels * min(n_int, _SHARED_BUDGETS)
     live = np.ones(n_int, dtype=bool)
     prev = np.full(n_int, np.inf)   # worst error of the previous round

@@ -14,6 +14,17 @@ the donor-acceptor leg and the far-zone tensors on both mediator legs,
 matching the approximation scheme behind the closed-form colinear rate. The
 "exact" method uses the closed-form bulk tensor plus the image or
 Sommerfeld scattering tensor.
+
+``rtol`` is the relative accuracy asked of F, not of each tensor. A
+Sommerfeld tensor gets an absolute tolerance from that budget, taken
+against the bulk tensors, which cost nothing: G_AD may err by rtol
+||G0_AD|| (Frobenius norms), and each mediator leg by its half of
+rtol ||F0||, where F0 = G_AD + mu0 w^2 alpha G0_AM G0_MD has bulk mediator
+legs (see ``_leg_tolerances``). A tensor whose error F cannot see, such as
+the nearly vanishing scattering part of an index-matched half-space,
+stops refining as soon as it meets that share. The error estimate of a
+rate propagates the errors that the tensors achieved, whatever their
+tolerances were.
 """
 
 import functools
@@ -23,7 +34,7 @@ import numpy as np
 
 from .core import C, HBAR, MU0, EPS0, TINY, GeometryError, wavelength
 from .greens import HalfSpace, green_bulk, green_scatter, limit_reflection
-from .media import polarizability
+from .media import PerfectReflector, polarizability
 
 MIN_SEPARATION_WAVELENGTHS = 1e-4
 
@@ -53,6 +64,12 @@ class RateResult:
     error_estimate: float = 0.0
 
 
+def _check_positions(env, positions, omega):
+    """The dipole-approximation and surface guards of a rate's bodies."""
+    _check_geometry(positions, omega)
+    _check_heights(env, positions)
+
+
 def _check_geometry(positions, omega):
     lam = wavelength(omega)
     pos = [np.asarray(p, dtype=float) for p in positions]
@@ -73,21 +90,30 @@ def _check_heights(env, positions):
                 raise GeometryError("all bodies must satisfy z > 0 near a surface")
 
 
-def _green(env, r, r_prime, omega, method, rtol):
-    """Total tensor and a bound on the Frobenius norm of its error.
+def _sommerfeld_legs(env, method):
+    """Whether the tensors of ``method`` in ``env`` are Sommerfeld integrals,
+    the only ones with a quadrature error; the others are closed forms."""
+    return (method == "exact" and isinstance(env, HalfSpace)
+            and not isinstance(env.material, PerfectReflector))
 
-    The "nr" bulk tensor is the phase-free one of the "limits" direct leg.
+
+def _green(env, r, r_prime, omega, method, rtol, bulk, atol):
+    """Total tensor and a bound on the Frobenius norm of its error, from the
+    bulk tensor ``bulk`` of the same points and method and the scattering
+    tensor, integrated to ``atol + rtol * max|component|`` if it is a
+    Sommerfeld integral.
+
     The Sommerfeld estimate is relative to the largest of the components
     (xx, yy, zz, xz) of the scattering tensor in its own frame, where it
     has five non-zero entries (zx = -xz); the rotation keeps the Frobenius
     norm, so the absolute error is at most sqrt(5) times that estimate
     times the tensor's Frobenius norm.
     """
-    gb = green_bulk(r, r_prime, omega, method=method, include_phase=False)
-    gs, err = green_scatter(env, r, r_prime, omega, method=method, rtol=rtol)
+    gs, err = green_scatter(env, r, r_prime, omega, method=method, rtol=rtol,
+                            atol=atol)
     if np.any(err):   # the closed forms are exact and report 0.0
         err = np.sqrt(5.0) * err * np.sqrt(_norm2(gs))
-    return gb + gs, err
+    return bulk + gs, err
 
 
 @functools.lru_cache(maxsize=8)
@@ -98,12 +124,42 @@ def _direct_leg(env, r_a, r_d, omega, method, rtol):
 
     The arguments are everything the tensor depends on, and it depends on
     nothing else (it is always evaluated in a tensor call of its own, never
-    in a batch), so a hit returns exactly what a fresh evaluation would.
-    The returned tensor is read-only because every hit shares it.
+    in a batch, and its absolute tolerance rtol ||G0_AD|| / sqrt(5) per
+    component comes from its own bulk tensor G0_AD), so a hit returns
+    exactly what a fresh evaluation would. The returned tensor is read-only
+    because every hit shares it.
     """
-    g_ad, err = _green(env, np.array(r_a), np.array(r_d), omega, method, rtol)
+    r_a, r_d = np.array(r_a), np.array(r_d)
+    # the "nr" bulk tensor of the "limits" direct leg is the phase-free one
+    g0 = green_bulk(r_a, r_d, omega, method=method, include_phase=False)
+    atol = rtol * np.sqrt(_norm2(g0) / 5.0)
+    g_ad, err = _green(env, r_a, r_d, omega, method, rtol, g0, atol)
     g_ad.flags.writeable = False
     return g_ad, err
+
+
+def _direct(env, r_a, r_d, omega, method, rtol):
+    """G_AD of a rate ``method`` and the bound on its error, through the
+    ``_direct_leg`` memo; a sweep calls it once before its rows."""
+    return _direct_leg(env, _point_key(r_a), _point_key(r_d), float(omega),
+                       "nr" if method == "limits" else "exact", float(rtol))
+
+
+def _leg_tolerances(g_ad, g0_am, g0_md, scale, rtol):
+    """Absolute tolerances of the G_AM legs, then of the G_MD legs, of N
+    geometries, per component, from bulk legs G0_AM and G0_MD of shape
+    (N, 3, 3) and the mediated factor ``scale`` = mu0 w^2 alpha.
+
+    An error dA of G_AM moves F by at most |scale| ||dA|| ||G_MD||, and a
+    Sommerfeld tensor within ``atol`` per component errs by at most
+    sqrt(5) atol (five non-zero entries). So each leg, priced against the
+    bulk tensor of the other leg, gets half of rtol ||F0|| with
+    F0 = G_AD + scale G0_AM G0_MD.
+    """
+    share = (rtol * np.sqrt(_norm2(g_ad + scale * (g0_am @ g0_md)))
+             / (2.0 * np.sqrt(5.0) * abs(scale)))
+    return np.concatenate([share / np.sqrt(_norm2(g0_md)),
+                           share / np.sqrt(_norm2(g0_am))])
 
 
 def _point_key(r):
@@ -122,7 +178,9 @@ def _coupling(env, r_a, r_d, omega, mediator=None, method="exact", rtol=1e-9):
     and second order from the absolute error of each leg. Reciprocity gives
     F(D, M, A) = F(A, M, D)^T, so no rate needs the reversed legs.
     G_AD comes from the ``_direct_leg`` memo, so that it is the same
-    whatever else the sweep evaluates, and is read-only.
+    whatever else the sweep evaluates, and is read-only. The Sommerfeld
+    legs are integrated to the tolerances of ``_leg_tolerances``, so
+    ``rtol`` is the relative accuracy asked of F.
 
     A mediator position of shape (N, 3) gives the mediated terms and errors
     of N geometries, with G_AM and G_MD of all N from one tensor call. Its
@@ -131,27 +189,30 @@ def _coupling(env, r_a, r_d, omega, mediator=None, method="exact", rtol=1e-9):
     """
     if method not in ("exact", "limits"):
         raise ValueError(f"unknown method {method!r}")
-    direct, legs = ("nr", "r") if method == "limits" else ("exact", "exact")
+    legs = "r" if method == "limits" else "exact"
     positions = [r_d, r_a]
     alpha = 0.0
     if mediator is not None:
         positions.append(mediator.position)
         alpha = polarizability(mediator.polarizability, omega / C)
-    _check_geometry(positions, omega)
-    _check_heights(env, positions)
+    _check_positions(env, positions, omega)
 
-    g_ad, err = _direct_leg(env, _point_key(r_a), _point_key(r_d),
-                            float(omega), direct, float(rtol))
+    g_ad, err = _direct(env, r_a, r_d, omega, method, rtol)
     batch = np.shape(mediator.position)[:-1] if mediator is not None else ()
     if alpha == 0.0:
         return g_ad, np.zeros(batch + (3, 3), dtype=complex), err + np.zeros(batch)
     r_m = np.asarray(mediator.position, dtype=float).reshape(-1, 3)
     r_a = np.broadcast_to(np.asarray(r_a, dtype=float), r_m.shape)
     r_d = np.broadcast_to(np.asarray(r_d, dtype=float), r_m.shape)
-    g, e = _green(env, np.concatenate([r_a, r_m]), np.concatenate([r_m, r_d]),
-                  omega, legs, rtol)
-    e = np.broadcast_to(e, g.shape[:1])
+    ends = np.concatenate([r_a, r_m]), np.concatenate([r_m, r_d])
+    g0 = green_bulk(*ends, omega, method=legs)
     n = len(r_m)
+    scale = MU0 * omega**2 * alpha
+    atol = 0.0
+    if _sommerfeld_legs(env, legs):
+        atol = _leg_tolerances(g_ad, g0[:n], g0[n:], scale, rtol)
+    g, e = _green(env, *ends, omega, legs, rtol, g0, atol)
+    e = np.broadcast_to(e, g.shape[:1])
     g_am, g_md = g[:n].reshape(batch + (3, 3)), g[n:].reshape(batch + (3, 3))
     e_med = np.zeros(batch)
     if np.any(e):
@@ -159,7 +220,6 @@ def _coupling(env, r_a, r_d, omega, mediator=None, method="exact", rtol=1e-9):
         # ||dA B + A dB + dA dB|| <= ||dA|| ||B|| + ||A|| ||dB|| + ||dA|| ||dB||
         e_med = (e_am * np.sqrt(_norm2(g_md)) + np.sqrt(_norm2(g_am)) * e_md
                  + e_am * e_md)
-    scale = MU0 * omega**2 * alpha
     return g_ad, scale * (g_am @ g_md), err + abs(scale) * e_med
 
 

@@ -26,7 +26,7 @@ from .media import (
     SurfaceModeError,
     SymbolicMaterialError,
 )
-from .rates import Mediator, rate_isotropic
+from .rates import Mediator, _check_positions, _direct, rate_isotropic
 
 CSV_HEADER = ["x_m", "z_m", "gamma", "gamma_normalized", "method",
               "error_estimate", "flag"]
@@ -88,31 +88,40 @@ _ROW_ERRORS = (GeometryError, QuadratureError, ConfigError, SurfaceModeError,
 _CHUNK_ROWS = 64
 
 
+def _positions(cfg, rows):
+    return np.array([(x_lam, 0.0, z_lam)
+                     for x_lam, z_lam, _ in rows]) * cfg.lambda_d
+
+
+def _error_record(row, method, exc):
+    x_lam, z_lam, _ = row
+    nan = float("nan")
+    return RateRecord(x_m=x_lam, z_m=z_lam, gamma=nan, gamma_normalized=nan,
+                      method=method, error_estimate=nan,
+                      flag=f"error:{type(exc).__name__}")
+
+
 def _eval_point(cfg, method, rows):
     """Records of one chunk of rows ``(x_lam, z_lam, flag)``, in row order,
     from one rate call over all their mediator positions.
 
-    If that call raises a row error, the rows are evaluated again one by
-    one, so that the error lands in the row it belongs to; the sweep
-    continues.
+    If that call raises a row error, each half of the rows is evaluated
+    again in the same way, so that the error lands in the row it belongs to
+    and a chunk of n rows with one bad row costs at most 2 log2(n) + 1 rate
+    calls; the sweep continues.
     """
-    positions = np.array([(x_lam, 0.0, z_lam)
-                          for x_lam, z_lam, _ in rows]) * cfg.lambda_d
-    mediator = Mediator(positions, StaticScalar(cfg.alpha))
+    mediator = Mediator(_positions(cfg, rows), StaticScalar(cfg.alpha))
     try:
         res = rate_isotropic(cfg.d_donor, cfg.d_acceptor, cfg.donor,
                              cfg.acceptor, cfg.environment, cfg.omega,
                              mediator=mediator, method=method,
                              rtol=cfg.quad_rtol)
     except _ROW_ERRORS as exc:
-        if len(rows) > 1:
-            return [rec for row in rows for rec in _eval_point(cfg, method, [row])]
-        (x_lam, z_lam, _), = rows
-        nan = float("nan")
-        return [RateRecord(x_m=x_lam, z_m=z_lam, gamma=nan,
-                           gamma_normalized=nan, method=method,
-                           error_estimate=nan,
-                           flag=f"error:{type(exc).__name__}")]
+        if len(rows) == 1:
+            return [_error_record(rows[0], method, exc)]
+        half = len(rows) // 2
+        return (_eval_point(cfg, method, rows[:half])
+                + _eval_point(cfg, method, rows[half:]))
     return [
         RateRecord(x_m=x_lam, z_m=z_lam, gamma=gamma,
                    gamma_normalized=normalized, method=method,
@@ -123,15 +132,38 @@ def _eval_point(cfg, method, rows):
     ]
 
 
+def _failed_direct_leg(cfg, method, rows, exc):
+    """Records of rows whose shared G_AD raised ``exc``: each row carries
+    the error its own rate call would raise, that of its bodies' guards
+    (which a rate checks before G_AD) or else ``exc``."""
+    records = []
+    for row, position in zip(rows, _positions(cfg, rows)):
+        error = exc
+        try:
+            _check_positions(cfg.environment,
+                             [cfg.donor, cfg.acceptor, position], cfg.omega)
+        except GeometryError as own:
+            error = own
+        records.append(_error_record(row, method, error))
+    return records
+
+
 def _run(cfg, method, rows, workers):
-    """Records of all rows of one method, in order. The rows are dealt
-    round-robin into ``ceil(rows / _CHUNK_ROWS)`` chunks, so that each chunk
-    gets a share of the near and the far mediator positions. One chunk, or
-    one worker, runs in the calling thread; otherwise the chunks run on
+    """Records of all rows of one method, in order. G_AD, which every row
+    shares, is evaluated first, once: if it raises a row error, every row
+    is flagged without a rate call. The rows are dealt round-robin into
+    ``ceil(rows / _CHUNK_ROWS)`` chunks, so that each chunk gets a share of
+    the near and the far mediator positions. One chunk, or one worker, runs
+    in the calling thread; otherwise the chunks run on
     ``min(workers, chunks)`` threads, which share the G_AD memo of
     ``rates``."""
     if workers < 1:
         raise ValueError("workers must be at least 1")
+    try:
+        _direct(cfg.environment, cfg.acceptor, cfg.donor, cfg.omega, method,
+                cfg.quad_rtol)
+    except _ROW_ERRORS as exc:
+        return _failed_direct_leg(cfg, method, rows, exc)
     n = -(-len(rows) // _CHUNK_ROWS)
     chunks = [rows[k::n] for k in range(n)]
 

@@ -221,6 +221,30 @@ def test_tolerance_per_integral():
     assert np.all(np.abs(total[:, 0] - exact) <= 1e-10 * np.abs(exact))
 
 
+def test_absolute_tolerance_per_integral():
+    """With one atol per integral, an integral whose atol its first-round
+    error estimate meets stops there, with the value of a lone run that
+    stops after one integrand call although it is far from its rtol, while
+    its neighbour, at atol 0, refines further to its own rtol."""
+    def f(s):
+        return (np.cos(40.0 * s) * np.exp(-s))[:, None, None] * np.ones((1, 2, 1))
+
+    exact = ((1.0 + 40.0 * np.exp(-2.0) * np.sin(80.0) - np.exp(-2.0)
+              * np.cos(80.0)) / (1.0 + 40.0**2))
+    lo = np.linspace(0.0, 1.5, 4)
+    lone, lone_sizes = recording(by_nodes(lambda s: f(s)[:, :1]))
+    first, first_err = adaptive_quad_vec(lone, lo, lo + 0.5, rtol=1e-10,
+                                         atol=1e-4)
+    assert len(lone_sizes) == 1 and first_err[0, 0] > 1e-10 * abs(exact)
+    both, sizes = recording(by_nodes(f))
+    total, err = adaptive_quad_vec(both, lo, lo + 0.5, rtol=1e-10,
+                                   atol=np.array([1e-4, 0.0]))
+    assert len(sizes) > 1
+    assert total[0, 0] == first[0, 0] and err[0, 0] == first_err[0, 0]
+    assert err[1, 0] <= 1e-10 * abs(exact)
+    assert abs(total[1, 0] - exact) <= 1e-10 * abs(exact)
+
+
 def test_shared_budget_grows_with_the_batch():
     """Two integrals that each converge within max_panels alone also
     converge together, although the union of their panels (peaks at -0.5

@@ -15,6 +15,7 @@ D1 = 1.0 * DEBYE
 ALPHA = 4 * np.pi * EPS0 * 0.1 * LAM**3
 DIELECTRIC = greens.HalfSpace(media.Constant(2.25))
 LOSSY_METAL = greens.HalfSpace(media.DrudeLorentz(2.5 * OMEGA, 0.0, 0.2 * OMEGA))
+SILICON = greens.HalfSpace(media.Constant(11.68))
 
 
 def dip(pos, moment):
@@ -187,12 +188,15 @@ class TestCouplingTensors:
          np.array([0.0, 0.1, 0.02])),
     ]
 
-    @pytest.mark.parametrize("env", [DIELECTRIC, LOSSY_METAL])
+    @pytest.mark.parametrize("env", [DIELECTRIC, LOSSY_METAL, SILICON])
     @pytest.mark.parametrize("geom", OFF_AXIS + NEAR_SURFACE)
     def test_error_estimate_bounds_true_error(self, env, geom):
         """The propagated bound 2 ||dF||/||F|| of the isotropic rate, and
         that of an oriented rate, bound the deviation of an rtol 1e-5 rate
-        from an rtol 1e-12 one."""
+        from an rtol 1e-12 one, over a dielectric, a high-index dielectric
+        (eps = 11.68) and the Drude metal with gamma = 0.2 w. The tensors
+        stop refining at their shares of the error budget of F, so this is
+        what keeps the shares honest."""
         r_d, r_a, r_m = (p * LAM for p in geom)
         med = rates.Mediator(r_m, media.StaticScalar(ALPHA))
         loose, tight = (rates.rate_isotropic(D1, D1, r_d, r_a, env, OMEGA,
@@ -208,6 +212,56 @@ class TestCouplingTensors:
                         for rtol in (1e-5, 1e-12))
         true_err = abs(loose.gamma - tight.gamma) / tight.gamma
         assert true_err <= loose.error_estimate
+
+    @pytest.mark.parametrize("env", [DIELECTRIC, LOSSY_METAL, SILICON])
+    @pytest.mark.parametrize("geom", OFF_AXIS + NEAR_SURFACE)
+    def test_batched_error_estimates_bound_true_errors(self, env, geom):
+        """A batch of mediators, (N, 3), whose legs share one Sommerfeld
+        call and whose tolerances are priced row by row: each row's
+        estimate at rtol 1e-5 bounds its deviation from the row at rtol
+        1e-12."""
+        r_d, r_a = geom[0] * LAM, geom[1] * LAM
+        r_m = np.array([g[2] for g in self.OFF_AXIS + self.NEAR_SURFACE]
+                       + [[1.5, -0.2, 0.05]]) * LAM
+        med = rates.Mediator(r_m, media.StaticScalar(ALPHA))
+        loose, tight = (rates.rate_isotropic(D1, D1, r_d, r_a, env, OMEGA,
+                                             mediator=med, method="exact",
+                                             rtol=rtol)
+                        for rtol in (1e-5, 1e-12))
+        assert loose.gamma.shape == (len(r_m),)
+        true_err = np.abs(loose.gamma - tight.gamma) / tight.gamma
+        assert np.all(true_err <= loose.error_estimate)
+
+    @pytest.mark.parametrize("eps", [1.0 + 1e-7, 1.0001])
+    def test_index_matched_half_space_converges(self, eps, monkeypatch):
+        """A nearly index-matched half-space scatters almost nothing. Each
+        tensor refines only until its error is small against F, not against
+        its own vanishing scattering part, so a two-mediator rate converges
+        in at most 20 integrand calls (at atol 0 every tensor exhausted its
+        4000 panels) and lies within eps - 1 of the vacuum rate."""
+        from mqret import quadrature
+
+        quad = quadrature.adaptive_quad_vec
+        nodes = []
+
+        def counting(f, *args, **kwargs):
+            def integrand(s):
+                nodes.append(s.size)
+                return f(s)
+            return quad(integrand, *args, **kwargs)
+
+        monkeypatch.setattr(quadrature, "adaptive_quad_vec", counting)
+        r_d, r_a = np.array([0.0, 0.0, 0.1]) * LAM, np.array([0.3, 0.0, 0.2]) * LAM
+        med = rates.Mediator(np.array([[0.5, 0.0, 0.4], [-0.6, 0.2, 0.9]]) * LAM,
+                             media.StaticScalar(ALPHA))
+        rates._direct_leg.cache_clear()
+        res, vac = (rates.rate_isotropic(D1, D1, r_d, r_a, env, OMEGA,
+                                         mediator=med, method="exact")
+                    for env in (greens.HalfSpace(media.Constant(eps)),
+                                greens.Vacuum()))
+        assert len(nodes) <= 20 and sum(nodes) <= 2000
+        assert np.all(res.error_estimate <= 1e-8)
+        assert np.all(np.abs(res.gamma - vac.gamma) <= (eps - 1.0) * vac.gamma)
 
     def test_isotropic_is_orientation_average(self):
         """Gamma_iso = (1/9) sum_ij Gamma_oriented(d_D || e_j, d_A || e_i)."""

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from mqret import cli, config, greens, rates, sweep
-from mqret.core import DEBYE
+from mqret.core import DEBYE, QuadratureError
 from mqret.media import Constant, PerfectReflector, StaticScalar
 
 
@@ -362,19 +362,90 @@ class TestSweep:
             assert 1 <= pairs.count((r_a, r_d)) <= most
             assert len(sommerfeld_geometries) >= 3  # one call per chunk
 
-    def test_failed_chunk_is_retried_row_by_row(self, tmp_path):
+    @staticmethod
+    def counting_rates(monkeypatch):
+        """Patches the sweep's ``rate_isotropic`` to count its calls."""
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(len(kwargs["mediator"].position))
+            return rates.rate_isotropic(*args, **kwargs)
+
+        monkeypatch.setattr(sweep, "rate_isotropic", counting)
+        return calls
+
+    def test_failed_chunk_is_retried_by_halves(self, tmp_path, monkeypatch):
         """A mediator inside the donor's separation guard fails its chunk;
-        that row is flagged and every other row matches its lone evaluation
-        byte for byte."""
+        the chunk is retried by halves, so that row is flagged in five rate
+        calls (4 rows, then 2, 1, 1 and 2), and every other row agrees with
+        its lone evaluation within quad_rtol."""
+        calls = self.counting_rates(monkeypatch)
         cfg = config.load_config(write_config(tmp_path, DIELECTRIC))
         z_d = cfg.donor[2] / cfg.lambda_d
         rows = [(x, z, "") for x, z in
                 ((-1.0, 1.0), (0.0, z_d + 5e-5), (0.5, 2.0), (1.0, 0.6))]
         recs = sweep._eval_point(cfg, "exact", rows)
+        assert calls == [4, 2, 1, 1, 2]
         assert recs[1].flag == "error:GeometryError" and np.isnan(recs[1].gamma)
         for k in (0, 2, 3):
             alone, = sweep._eval_point(cfg, "exact", [rows[k]])
-            assert recs[k].flag == "" and repr(recs[k]) == repr(alone)
+            assert recs[k].flag == "" and np.isfinite(recs[k].gamma)
+            for key in ("gamma", "gamma_normalized"):
+                got, ref = getattr(recs[k], key), getattr(alone, key)
+                assert abs(got - ref) <= cfg.quad_rtol * abs(ref)
+
+    def test_one_bad_row_costs_a_few_rate_calls(self, tmp_path, monkeypatch):
+        """A 64-row map chunk with one point on top of the acceptor flags
+        that point after at most 2 log2(64) + 1 = 13 rate calls, where a
+        retry row by row made 65; every other row is finite."""
+        calls = self.counting_rates(monkeypatch)
+        cfg = config.load_config(write_config(tmp_path, DIELECTRIC))
+        z_a = cfg.acceptor[2] / cfg.lambda_d
+        recs = sweep.sweep_2d(cfg, sweep.TwoDSweep(-0.7, 0.0, z_a, z_a + 0.7,
+                                                   8, 8))
+        assert len(recs) == sweep._CHUNK_ROWS and calls[0] == len(recs)
+        assert len(calls) <= 13
+        bad = [r for r in recs if r.flag.startswith("error:")]
+        assert [(r.x_m, r.z_m, r.flag) for r in bad] == [
+            (0.0, z_a, "error:GeometryError")]
+        assert all(np.isfinite(r.gamma) for r in recs if r not in bad)
+
+    def test_failing_direct_leg_is_evaluated_once(self, tmp_path,
+                                                  monkeypatch):
+        """Over a lossless Drude metal G_AD exhausts its panels. A 4x4 map
+        evaluates it once, before any chunk, and makes no rate call: every
+        row reads error:QuadratureError, as its own rate call would give,
+        except the row on top of the acceptor, whose separation guard fails
+        first."""
+        calls = self.counting_rates(monkeypatch)
+        full = greens.halfspace_scatter_full
+        failed = []
+
+        def counting(*args, **kwargs):
+            try:
+                return full(*args, **kwargs)
+            except QuadratureError:
+                failed.append(args)
+                raise
+
+        monkeypatch.setattr(greens, "halfspace_scatter_full", counting)
+        p = write_config(tmp_path, halfspace(type="drude_lorentz",
+                                             omega_p=4.7e15, omega_0=0.0))
+        cfg = config.load_config(p)
+        z_a = float(cfg.acceptor[2] / cfg.lambda_d)
+        rates._direct_leg.cache_clear()
+        out = tmp_path / "lossless.csv"
+        assert cli.main(["map", "--config", p, "--xmin", "-0.3", "--xmax",
+                         "0.0", "--zmin", repr(z_a), "--zmax",
+                         repr(z_a + 0.3), "--nx", "4", "--nz", "4", "--out",
+                         str(out)]) == 0
+        assert len(failed) == 1 and calls == []
+        recs = sweep.read_csv(str(out))
+        flags = ["error:GeometryError" if (r.x_m, r.z_m) == (0.0, z_a)
+                 else "error:QuadratureError" for r in recs]
+        assert [r.flag for r in recs] == flags and len(set(flags)) == 2
+        assert all(np.isnan([r.gamma, r.gamma_normalized, r.error_estimate]).all()
+                   for r in recs)
 
     def test_csv_roundtrip(self, tmp_path):
         cfg = config.load_config(write_config(tmp_path))
@@ -514,6 +585,17 @@ class TestCli:
                              "--rpx", "0.0", "--rpz", "0.5"]) == 0
             outs.append(capsys.readouterr().out)
         assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("env", ["vacuum", "mirror"])
+    def test_green_command_rejects_eps_without_halfspace(self, env, capsys):
+        """--eps belongs to --env halfspace; with the other environments it
+        is an error, not silently ignored."""
+        rc = cli.main(["green", "--env", env, "--eps", "2.25", "--rx", "0",
+                       "--rz", "0.3", "--rpx", "0", "--rpz", "0.5"])
+        captured = capsys.readouterr()
+        assert rc != 0 and captured.out == ""
+        assert f"--eps applies to --env halfspace only, not --env {env}" in \
+            captured.err
 
     def test_verify_command(self, tmp_path, capsys):
         report = str(tmp_path / "verify.json")
