@@ -29,7 +29,6 @@ from .media import (
     DrudeLorentz,
     PerfectReflector,
     StaticScalar,
-    TwoLevel,
     fresnel,
     permittivity,
     polarizability,

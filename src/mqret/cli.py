@@ -60,7 +60,7 @@ def _cmd_sweep_z(args):
     methods = ("limits", "exact") if args.method == "both" else (args.method,)
     spec = OneDSweep(z_min=args.zmin, z_max=args.zmax, steps=args.steps,
                      methods=methods)
-    records = sweep_1d(cfg, spec, workers=args.workers)
+    records = sweep_1d(cfg, spec)
     emit(records, args.format, args.out, metadata=_metadata(cfg))
     print(f"wrote {len(records)} records to {args.out}")
     return 0
@@ -70,7 +70,7 @@ def _cmd_map(args):
     cfg = load_config(args.config)
     spec = TwoDSweep(x_min=args.xmin, x_max=args.xmax, z_min=args.zmin,
                      z_max=args.zmax, nx=args.nx, nz=args.nz)
-    records = sweep_2d(cfg, spec, workers=args.workers)
+    records = sweep_2d(cfg, spec)
     emit(records, args.format, args.out, metadata=_metadata(cfg))
     print(f"wrote {len(records)} records to {args.out}")
     return 0
@@ -149,7 +149,8 @@ def build_parser():
                    default="both")
     p.add_argument("--out", required=True)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--workers", type=_worker_count, default=1)
+    p.add_argument("--workers", type=_worker_count, default=1,
+                   help="accepted but ignored: a sweep runs on one thread")
     p.set_defaults(func=_cmd_sweep_z)
 
     p = sub.add_parser("map", help="2-D mediator map in the x-z plane")
@@ -162,7 +163,8 @@ def build_parser():
     p.add_argument("--nz", type=int, required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--workers", type=_worker_count, default=1)
+    p.add_argument("--workers", type=_worker_count, default=1,
+                   help="accepted but ignored: a sweep runs on one thread")
     p.set_defaults(func=_cmd_map)
 
     p = sub.add_parser("green", help="debug-print one Green's tensor")

@@ -394,17 +394,18 @@ def _sommerfeld_run(terms, k1, refl, t_b, rtol, atol, max_panels):
         cols = (np.stack([b0, b2, b0, b1], axis=-1)
                 * _kernel_columns(k_par, k_z, k1, refl))
         if product:
-            # per panel (Z, rule) x (rho, column), then each geometry's entry
+            # per panel (Z, rule) x (rho, column), its components, then each
+            # geometry's entry: the one array as large as the batch
             rows = phase.transpose(0, 2, 1)[:, :, None, :] * RULES
             prod = (rows.reshape(n_pan, -1, n_node)
                     @ cols.reshape(n_pan, n_node, -1))
             prod = prod.reshape(n_pan, len(big_z), 2, len(rho), 4)
-            sums = prod.transpose(2, 0, 1, 3, 4)[:, :, z_of, rho_of]
-        else:
-            pair = (np.take(phase, z_of, axis=2)[..., None]
-                    * np.take(cols, rho_of, axis=2))
-            sums = (RULES @ pair.reshape(n_pan, n_node, -1)).reshape(
-                n_pan, 2, len(z_of), 4).transpose(1, 0, 2, 3)
+            comps = _components(prod.transpose(2, 0, 1, 3, 4))
+            return comps[:, :, z_of, rho_of]
+        pair = (np.take(phase, z_of, axis=2)[..., None]
+                * np.take(cols, rho_of, axis=2))
+        sums = (RULES @ pair.reshape(n_pan, n_node, -1)).reshape(
+            n_pan, 2, len(z_of), 4).transpose(1, 0, 2, 3)
         return _components(sums)
 
     return adaptive_quad_vec(integrand, *edges, rtol=rtol, atol=atol,

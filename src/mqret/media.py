@@ -11,7 +11,7 @@ from numbers import Number
 
 import numpy as np
 
-from .core import C, HBAR
+from .core import C
 
 
 class SymbolicMaterialError(ValueError):
@@ -20,10 +20,6 @@ class SymbolicMaterialError(ValueError):
 
 class SurfaceModeError(ValueError):
     """eps = -1 pole of the non-retarded reflection coefficient."""
-
-
-class MediatorResonanceError(ValueError):
-    """Mediator driven inside the resonance guard band |E_rs - hbar*c*k|."""
 
 
 # --- permittivity -----------------------------------------------------------
@@ -106,45 +102,14 @@ def fresnel(material, k_par, omega):
 
 # --- mediator polarizability ------------------------------------------------
 
-RESONANCE_GUARD = 1e-6
-
-
 @dataclass(frozen=True)
 class StaticScalar:
     alpha: float  # C^2 m^2 / J
 
 
-@dataclass(frozen=True)
-class TwoLevel:
-    dipole: float  # transition dipole magnitude, C*m
-    energy: float  # transition energy E_rs, J
-
-    def __post_init__(self):
-        if self.energy <= 0:
-            raise ValueError("two-level transition energy must be positive")
-
-
 def polarizability(model, k):
-    """Isotropic dynamic polarizability of the mediator at wavenumber k.
-
-    Two-level terms contribute |d|^2 [1/(E + hbar c k) + 1/(E - hbar c k)];
-    the model is even in k. Evaluation inside the resonance guard band is
-    rejected: the polarizability here is real and non-absorptive, so a
-    near-resonant mediator is outside model validity.
-    """
+    """Isotropic polarizability of the mediator at wavenumber k; a static
+    scalar is the same at every k."""
     if isinstance(model, StaticScalar):
         return complex(model.alpha)
-    terms = model if isinstance(model, (list, tuple)) else [model]
-    photon = HBAR * C * abs(k)
-    total = 0.0
-    for term in terms:
-        if not isinstance(term, TwoLevel):
-            raise TypeError(f"unknown polarizability model {term!r}")
-        if abs(term.energy - photon) < RESONANCE_GUARD * term.energy:
-            raise MediatorResonanceError(
-                "photon energy inside the mediator resonance guard band"
-            )
-        total += term.dipole**2 * (
-            1.0 / (term.energy + photon) + 1.0 / (term.energy - photon)
-        )
-    return complex(total)
+    raise TypeError(f"unknown polarizability model {model!r}")

@@ -2,12 +2,12 @@
 
 One geometry gives three tensors, G_AD, G_AM and G_MD, built by
 ``_coupling``: G_AM and G_MD once per rate, G_AD once per donor-acceptor
-pair, since it does not depend on the mediator (its memo is shared by the
-threads of a sweep). They form the coupling tensor F = G_AD + mu0 w^2 alpha
-G_AM G_MD. The oriented rate, the isotropically averaged rate and the
-mediator-free reference rate Gamma_0 are projections of those tensors. The
-module also holds the colinear near/far-zone closed form and the two-body
-reference formulas used for consistency checks.
+pair, since it does not depend on the mediator (a sweep evaluates it
+once, before its rows). They form the coupling tensor
+F = G_AD + mu0 w^2 alpha G_AM G_MD. The oriented rate, the isotropically
+averaged rate and the mediator-free reference rate Gamma_0 are projections
+of those tensors. The module also holds the colinear near/far-zone closed
+form and the two-body reference formulas used for consistency checks.
 
 The "limits" method takes the quasi-static (phase-free) near-zone tensor on
 the donor-acceptor leg and the far-zone tensors on both mediator legs,

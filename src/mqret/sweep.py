@@ -1,31 +1,25 @@
 """Parameter-sweep engines and CSV/JSON emission.
 
-Sweep points are independent pure evaluations. They are evaluated in chunks
-of at most ``_CHUNK_ROWS`` rows of one method, each chunk one batched rate
-call, and the chunks run on a pool of threads when requested (the numpy
-and scipy.special loops of the kernel release the interpreter lock). The
-chunk layout does not depend on the worker count (a row's value depends,
-within the quadrature tolerance, on the rows that share its chunk), and the
-collected records keep the deterministic input ordering and fixed float
-formatting, making the emitted CSV byte-identical regardless of worker
-count.
+Sweep points are independent pure evaluations. The rows of one method are
+cut into contiguous chunks of at most ``_CHUNK_ROWS`` rows, evaluated one
+after another in the calling thread, each chunk one batched rate call.
+Rows come in height order, so a chunk is a band of neighbouring mediator
+heights with few distinct (Z, rho), which the Sommerfeld evaluator reduces
+by one matrix product on panels fitted to the chunk's lowest height. A
+row's value depends, within the quadrature tolerance, on the rows that
+share its chunk; the records keep the input ordering and fixed float
+formatting, so a sweep always emits the same bytes.
 """
 
 import csv
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .config import ConfigError
 from .core import GeometryError, QuadratureError
-from .media import (
-    MediatorResonanceError,
-    StaticScalar,
-    SurfaceModeError,
-    SymbolicMaterialError,
-)
+from .media import StaticScalar, SurfaceModeError, SymbolicMaterialError
 from .rates import Mediator, _check_positions, _direct, rate_isotropic
 
 CSV_HEADER = ["x_m", "z_m", "gamma", "gamma_normalized", "method",
@@ -80,12 +74,13 @@ class RateRecord:
 
 # failures that belong to one point; anything else is a bug and aborts the sweep
 _ROW_ERRORS = (GeometryError, QuadratureError, ConfigError, SurfaceModeError,
-               MediatorResonanceError, SymbolicMaterialError)
+               SymbolicMaterialError)
 
 
-# rows per chunk at most: bounds the memory of one batched evaluation. It
-# does not depend on the worker count, so neither do the chunks.
-_CHUNK_ROWS = 64
+# rows per chunk at most: bounds the memory of one batched evaluation.
+# Larger chunks run open maps faster, but 256 rows double the peak memory of
+# a near-surface map (BENCH_12.json).
+_CHUNK_ROWS = 128
 
 
 def _positions(cfg, rows):
@@ -148,40 +143,21 @@ def _failed_direct_leg(cfg, method, rows, exc):
     return records
 
 
-def _run(cfg, method, rows, workers):
+def _run(cfg, method, rows):
     """Records of all rows of one method, in order. G_AD, which every row
     shares, is evaluated first, once: if it raises a row error, every row
-    is flagged without a rate call. The rows are dealt round-robin into
-    ``ceil(rows / _CHUNK_ROWS)`` chunks, so that each chunk gets a share of
-    the near and the far mediator positions. One chunk, or one worker, runs
-    in the calling thread; otherwise the chunks run on
-    ``min(workers, chunks)`` threads, which share the G_AD memo of
-    ``rates``."""
-    if workers < 1:
-        raise ValueError("workers must be at least 1")
+    is flagged without a rate call. Otherwise the rows are evaluated in
+    contiguous chunks of at most ``_CHUNK_ROWS``, one after another."""
     try:
         _direct(cfg.environment, cfg.acceptor, cfg.donor, cfg.omega, method,
                 cfg.quad_rtol)
     except _ROW_ERRORS as exc:
         return _failed_direct_leg(cfg, method, rows, exc)
-    n = -(-len(rows) // _CHUNK_ROWS)
-    chunks = [rows[k::n] for k in range(n)]
-
-    def point(chunk):
-        return _eval_point(cfg, method, chunk)
-
-    if min(workers, n) <= 1:
-        done = list(map(point, chunks))
-    else:
-        with ThreadPoolExecutor(max_workers=min(workers, n)) as pool:
-            done = list(pool.map(point, chunks))
-    records = [None] * len(rows)
-    for k, recs in enumerate(done):
-        records[k::n] = recs
-    return records
+    return [rec for k in range(0, len(rows), _CHUNK_ROWS)
+            for rec in _eval_point(cfg, method, rows[k:k + _CHUNK_ROWS])]
 
 
-def sweep_1d(cfg, spec, workers=1):
+def sweep_1d(cfg, spec):
     """Rate vs mediator position along the z axis (colinear geometry), one
     run of rows per method, the methods one after another."""
     if not cfg.has_mediator:
@@ -195,11 +171,11 @@ def sweep_1d(cfg, spec, workers=1):
         rows = [(0.0, z_lam,
                  "nr_guard" if method == "limits" and z_lam - z_a < 1.0 else "")
                 for z_lam in z]
-        records += _run(cfg, method, rows, workers)
+        records += _run(cfg, method, rows)
     return records
 
 
-def sweep_2d(cfg, spec, workers=1):
+def sweep_2d(cfg, spec):
     """Rate map over mediator positions in the x-z plane (exact tensors)."""
     if not cfg.has_mediator:
         raise ConfigError("2-D sweep needs a mediator block in the config")
@@ -213,7 +189,7 @@ def sweep_2d(cfg, spec, workers=1):
                | (_distance(pos, cfg.acceptor) < clip))
     rows = [(x, z, "clip" if c else "")
             for x, z, c in zip(x_lam.tolist(), z_lam.tolist(), clipped.tolist())]
-    return _run(cfg, "exact", rows, workers)
+    return _run(cfg, "exact", rows)
 
 
 def _distance(points, point):

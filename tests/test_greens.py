@@ -405,7 +405,7 @@ class TestBatchedSommerfeld:
 
 
 def kpar_reference(r, rp, eps):
-    """Scattering tensor components (xx, yy, zz, xz, zx) by
+    """Scattering tensor components (xx, yy, zz, xz) by
     ``scipy.integrate.quad_vec`` in k_par, with breakpoints at k1 and
     k1 Re sqrt(eps) and the tail cut where kappa (z + z') = 40, as in the
     evaluator. Only the inverse square root 1/k_z1 at k1 is removed, by

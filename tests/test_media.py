@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from mqret import media
-from mqret.core import C, HBAR
+from mqret.core import C
 
 
 class TestPermittivity:
@@ -84,40 +83,6 @@ class TestPolarizability:
     def test_static_scalar(self):
         assert media.polarizability(media.StaticScalar(3e-39), 1e7) == 3e-39
 
-    def test_two_level_static_limit(self):
-        d, e = 3.34e-30, 3e-19
-        m = media.TwoLevel(dipole=d, energy=e)
-        assert media.polarizability(m, 0.0) == pytest.approx(2 * d**2 / e, rel=1e-14)
-
-    def test_two_level_sum(self):
-        terms = [media.TwoLevel(1e-30, 3e-19), media.TwoLevel(2e-30, 5e-19)]
-        k = 1e6
-        total = media.polarizability(terms, k)
-        parts = sum(media.polarizability(t, k) for t in terms)
-        assert total == pytest.approx(parts, rel=1e-14)
-
-    def test_resonance_guard(self):
-        e = 3e-19
-        k_res = e / (HBAR * C)
-        with pytest.raises(media.MediatorResonanceError):
-            media.polarizability(media.TwoLevel(1e-30, e), k_res * (1 + 1e-8))
-        # just outside the guard band is fine
-        media.polarizability(media.TwoLevel(1e-30, e), k_res * (1 + 1e-4))
-
-    def test_negative_above_resonance(self):
-        e = 3e-19
-        k = 1.5 * e / (HBAR * C)
-        assert media.polarizability(media.TwoLevel(1e-30, e), k).real < 0.0
-
-    @given(st.floats(1e4, 1e8))
-    def test_even_in_k(self, k):
-        m = media.TwoLevel(dipole=2e-30, energy=4e-19)
-        try:
-            plus = media.polarizability(m, k)
-        except media.MediatorResonanceError:
-            return
-        assert media.polarizability(m, -k) == plus
-
-    def test_invalid_energy(self):
-        with pytest.raises(ValueError):
-            media.TwoLevel(dipole=1e-30, energy=-1.0)
+    def test_unknown_model_rejected(self):
+        with pytest.raises(TypeError, match="polarizability model"):
+            media.polarizability(3e-39, 1e7)

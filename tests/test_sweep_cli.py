@@ -195,7 +195,7 @@ class TestSweep:
     def test_sweep_2d_clip_flag(self, tmp_path):
         cfg = config.load_config(write_config(tmp_path))
         spec = sweep.TwoDSweep(-0.5, 0.5, 0.1, 1.0, 3, 3)
-        recs = sweep.sweep_2d(cfg, spec, workers=1)
+        recs = sweep.sweep_2d(cfg, spec)
         assert len(recs) == 9
         flagged = [r for r in recs if r.flag == "clip"]
         assert flagged  # grid points land near the donor/acceptor column
@@ -205,11 +205,11 @@ class TestSweep:
         """The flags of a grid straddling the clip radius of the donor and
         the acceptor, one array expression, equal the flag of each row's
         own norm; the grid includes points exactly one radius away."""
-        monkeypatch.setattr(sweep, "_run", lambda cfg, method, rows, workers:
+        monkeypatch.setattr(sweep, "_run", lambda cfg, method, rows:
                             [(method,) + row for row in rows])
         cfg = config.load_config(write_config(tmp_path))
         spec = sweep.TwoDSweep(-0.45, 0.45, 0.0, 0.9, 61, 61)
-        rows = sweep.sweep_2d(cfg, spec, workers=1)
+        rows = sweep.sweep_2d(cfg, spec)
         clip = cfg.clip_radius * cfg.lambda_d
         expected = []
         for z_lam in np.linspace(spec.z_min, spec.z_max, spec.nz):
@@ -242,15 +242,20 @@ class TestSweep:
         with pytest.raises(TypeError):
             sweep.sweep_1d(cfg, sweep.OneDSweep(1.0, 2.0, 3))
 
-    def test_worker_determinism(self, tmp_path):
-        cfg = config.load_config(write_config(tmp_path))
-        spec = sweep.OneDSweep(1.2, 2.4, 7)
-        r1 = sweep.sweep_1d(cfg, spec, workers=1)
-        r3 = sweep.sweep_1d(cfg, spec, workers=3)
-        p1, p3 = tmp_path / "w1.csv", tmp_path / "w3.csv"
-        sweep.emit(r1, "csv", str(p1), metadata={"k": "v"})
-        sweep.emit(r3, "csv", str(p3), metadata={"k": "v"})
-        assert p1.read_bytes() == p3.read_bytes()
+    def test_memo_determinism(self, tmp_path, monkeypatch):
+        """A sweep of chunks over a dielectric, both methods, writes the
+        same bytes with an empty G_AD memo and with the memo it left."""
+        monkeypatch.setattr(sweep, "_CHUNK_ROWS", 4)
+        cfg = config.load_config(write_config(tmp_path, DIELECTRIC))
+        spec = sweep.OneDSweep(0.6, 2.0, 7, methods=("limits", "exact"))
+        rates._direct_leg.cache_clear()
+        paths = []
+        for name in ("cold.csv", "warm.csv"):
+            paths.append(tmp_path / name)
+            sweep.emit(sweep.sweep_1d(cfg, spec), "csv", str(paths[-1]),
+                       metadata={"k": "v"})
+        assert rates._direct_leg.cache_info().misses == 2  # one per method
+        assert paths[0].read_bytes() == paths[1].read_bytes()
 
     def test_direct_leg_once_per_pair(self, tmp_path, sommerfeld_geometries):
         """A map evaluates G_AD once, then G_AM and G_MD for each row,
@@ -258,7 +263,7 @@ class TestSweep:
         rates._direct_leg.cache_clear()
         cfg = config.load_config(write_config(tmp_path, DIELECTRIC))
         spec = sweep.TwoDSweep(-1.0, 1.0, 1.0, 2.0, 3, 2)
-        recs = sweep.sweep_2d(cfg, spec, workers=1)
+        recs = sweep.sweep_2d(cfg, spec)
         assert all(np.isfinite(r.gamma) for r in recs)
         pairs = [pair for call in sommerfeld_geometries for pair in call]
         r_a, r_d = tuple(cfg.acceptor), tuple(cfg.donor)
@@ -286,13 +291,14 @@ class TestSweep:
                 assert abs(x - y) <= cfg.quad_rtol * abs(y)
 
     def test_map_worker_determinism(self, tmp_path, monkeypatch):
-        """Map CSVs are byte-identical whatever the worker count. Chunks of
-        4 rows make 3 chunks, so 2 and 3 workers run them on threads that
-        share the G_AD memo; one 12-row chunk agrees within quad_rtol."""
+        """Map CSVs are byte-identical whatever --workers says, with an
+        empty or a filled G_AD memo. Chunks of 4 rows make 3 chunks; one
+        12-row chunk agrees within quad_rtol."""
         p = write_config(tmp_path, DIELECTRIC)
 
-        def run(workers):
-            rates._direct_leg.cache_clear()
+        def run(workers, cold=True):
+            if cold:
+                rates._direct_leg.cache_clear()
             out = tmp_path / f"map-w{workers}.csv"
             rc = cli.main(["map", "--config", p, "--xmin", "-1.0", "--xmax",
                            "1.0", "--zmin", "0.6", "--zmax", "2.0", "--nx",
@@ -304,18 +310,20 @@ class TestSweep:
         one_chunk = run(1)
         monkeypatch.setattr(sweep, "_CHUNK_ROWS", 4)
         chunked = run(1)
-        assert chunked == run(2) == run(3)
+        assert chunked == run(2, cold=False) == run(3)
         self.assert_within_quad_rtol(chunked, one_chunk, config.load_config(p),
                                      tmp_path)
 
     def test_sweep_z_worker_determinism(self, tmp_path, monkeypatch):
         """sweep-z over a dielectric, both methods: chunks of 4 rows, two
-        per method, run on 2 and 3 threads with the same bytes, which agree
-        with one 7-row chunk per method within quad_rtol."""
+        per method, write the same bytes whatever --workers says, with an
+        empty or a filled G_AD memo, and agree with one 7-row chunk per
+        method within quad_rtol."""
         p = write_config(tmp_path, DIELECTRIC)
 
-        def run(workers):
-            rates._direct_leg.cache_clear()
+        def run(workers, cold=True):
+            if cold:
+                rates._direct_leg.cache_clear()
             out = tmp_path / f"z-w{workers}.csv"
             rc = cli.main(["sweep-z", "--config", p, "--zmin", "0.6", "--zmax",
                            "2.0", "--steps", "7", "--method", "both", "--out",
@@ -326,7 +334,7 @@ class TestSweep:
         one_chunk = run(1)
         monkeypatch.setattr(sweep, "_CHUNK_ROWS", 4)
         chunked = run(1)
-        assert chunked == run(2) == run(3)
+        assert chunked == run(2, cold=False) == run(3)
         self.assert_within_quad_rtol(chunked, one_chunk, config.load_config(p),
                                      tmp_path)
 
@@ -347,20 +355,44 @@ class TestSweep:
 
     def test_direct_leg_once_per_thread(self, tmp_path, monkeypatch,
                                         sommerfeld_geometries):
-        """Threads share the G_AD memo: a map of 3 chunks evaluates G_AD at
-        most once per thread at 2 workers, and exactly once at 1."""
+        """A map runs on one thread at any --workers: its 3 chunks share
+        one G_AD evaluation, and each makes one tensor call of its own."""
         monkeypatch.setattr(sweep, "_CHUNK_ROWS", 4)
-        cfg = config.load_config(write_config(tmp_path, DIELECTRIC))
-        spec = sweep.TwoDSweep(-1.0, 1.0, 0.6, 2.0, 4, 3)
+        p = write_config(tmp_path, DIELECTRIC)
+        cfg = config.load_config(p)
         r_a, r_d = tuple(cfg.acceptor), tuple(cfg.donor)
-        for workers, most in ((1, 1), (2, 2)):
+        for workers in ("1", "2"):
             rates._direct_leg.cache_clear()
             sommerfeld_geometries.clear()
-            recs = sweep.sweep_2d(cfg, spec, workers=workers)
-            assert all(np.isfinite(r.gamma) for r in recs)
-            pairs = [pair for call in sommerfeld_geometries for pair in call]
-            assert 1 <= pairs.count((r_a, r_d)) <= most
-            assert len(sommerfeld_geometries) >= 3  # one call per chunk
+            out = tmp_path / f"map-w{workers}.csv"
+            assert cli.main(["map", "--config", p, "--xmin", "-1.0", "--xmax",
+                             "1.0", "--zmin", "0.6", "--zmax", "2.0", "--nx",
+                             "4", "--nz", "3", "--out", str(out),
+                             "--workers", workers]) == 0
+            assert all(np.isfinite(r.gamma) for r in sweep.read_csv(str(out)))
+            assert [len(call) for call in sommerfeld_geometries] == [1, 8, 8, 8]
+            assert sommerfeld_geometries[0] == [(r_a, r_d)]
+
+    def test_chunks_take_the_product_path(self, tmp_path, monkeypatch):
+        """Chunks are bands of neighbouring heights, so every Sommerfeld run
+        of a map has few distinct (Z, rho) and takes the product path, even
+        when a chunk ends mid-row of the grid; chunks dealt round-robin
+        over the same 13 x 11 map were diagonal and ran scattered."""
+        monkeypatch.setattr(sweep, "_CHUNK_ROWS", 12)
+        run = greens._sommerfeld_run
+        batches = []
+
+        def recording(terms, *args, **kwargs):
+            batches.append(terms)
+            return run(terms, *args, **kwargs)
+
+        monkeypatch.setattr(greens, "_sommerfeld_run", recording)
+        cfg = config.load_config(write_config(tmp_path, DIELECTRIC))
+        rates._direct_leg.cache_clear()
+        recs = sweep.sweep_2d(cfg, sweep.TwoDSweep(0.3, 2.0, 0.6, 2.0, 13, 11))
+        assert all(np.isfinite(r.gamma) for r in recs)
+        assert len(batches) == 1 + -(-len(recs) // 12)
+        assert all(greens._shares_terms(terms) for terms in batches)
 
     @staticmethod
     def counting_rates(monkeypatch):
@@ -395,16 +427,16 @@ class TestSweep:
                 assert abs(got - ref) <= cfg.quad_rtol * abs(ref)
 
     def test_one_bad_row_costs_a_few_rate_calls(self, tmp_path, monkeypatch):
-        """A 64-row map chunk with one point on top of the acceptor flags
-        that point after at most 2 log2(64) + 1 = 13 rate calls, where a
-        retry row by row made 65; every other row is finite."""
+        """A 128-row map chunk with one point on top of the acceptor flags
+        that point after at most 2 log2(128) + 1 = 15 rate calls, where a
+        retry row by row made 129; every other row is finite."""
         calls = self.counting_rates(monkeypatch)
         cfg = config.load_config(write_config(tmp_path, DIELECTRIC))
         z_a = cfg.acceptor[2] / cfg.lambda_d
         recs = sweep.sweep_2d(cfg, sweep.TwoDSweep(-0.7, 0.0, z_a, z_a + 0.7,
-                                                   8, 8))
+                                                   16, 8))
         assert len(recs) == sweep._CHUNK_ROWS and calls[0] == len(recs)
-        assert len(calls) <= 13
+        assert len(calls) <= 2 * np.log2(sweep._CHUNK_ROWS) + 1
         bad = [r for r in recs if r.flag.startswith("error:")]
         assert [(r.x_m, r.z_m, r.flag) for r in bad] == [
             (0.0, z_a, "error:GeometryError")]
@@ -480,12 +512,6 @@ class TestSweep:
             with pytest.raises(ValueError, match="finite"):
                 sweep.TwoDSweep(*bounds, 2, 2)
 
-    def test_workers_below_one_rejected(self, tmp_path):
-        cfg = config.load_config(write_config(tmp_path))
-        for workers in (0, -5):
-            with pytest.raises(ValueError, match="workers"):
-                sweep.sweep_1d(cfg, sweep.OneDSweep(1.0, 2.0, 3),
-                               workers=workers)
 
 
 class TestCli:
