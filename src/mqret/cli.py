@@ -99,7 +99,9 @@ def _cmd_green(args):
 
 def _cmd_verify(args):
     # imported here: the oracles pull in scipy.integrate, which no other
-    # command needs and which takes a third of the start-up time and memory
+    # command needs; it takes three times as long to import as the rest of
+    # the CLI and almost triples the memory of a fresh process (0.44 s and
+    # 52 MB on top of 0.15 s and 29 MB; Python 3.11, scipy 1.17, x86-64)
     from .oracles import run_verification
 
     reports = run_verification()

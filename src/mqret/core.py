@@ -6,12 +6,14 @@ precision.
 """
 
 import numpy as np
-import scipy.constants as const
 
-C = const.c
-MU0 = const.mu_0
+# c and h are exact in the 2019 SI; mu_0 is the CODATA 2022 value. Written
+# out, they equal scipy.constants (1.17) bit for bit, and importing that
+# module would double the start-up time of every CLI run.
+C = 299792458.0
+MU0 = 1.25663706127e-06
 EPS0 = 1.0 / (MU0 * C**2)  # pinned so that EPS0 * MU0 * C**2 == 1 exactly
-HBAR = const.hbar
+HBAR = 6.62607015e-34 / (2.0 * np.pi)
 DEBYE = 1e-21 / C  # 1 Debye in C*m
 
 TINY = 1e-300

@@ -147,7 +147,9 @@ def adaptive_quad_vec(f, a, b, rtol=1e-9, atol=0.0, max_panels=4000):
     n_int = val.shape[1]
     atol = np.broadcast_to(np.asarray(atol, dtype=float), (n_int,))
     budget = max_panels * min(n_int, _SHARED_BUDGETS)
-    live = np.ones(n_int, dtype=bool)
+    # val, err, atol and prev hold the unconverged integrals only; rows maps
+    # each of them to its row of the output
+    rows = np.arange(n_int)
     prev = np.full(n_int, np.inf)   # worst error of the previous round
     out_val = np.empty(val.shape[1:], dtype=val.dtype)
     out_err = np.empty(out_val.shape)
@@ -156,27 +158,31 @@ def adaptive_quad_vec(f, a, b, rtol=1e-9, atol=0.0, max_panels=4000):
         scale = np.abs(total).max(axis=1)
         tol = atol + rtol * scale
         worst = toterr.max(axis=1)
-        if not np.isfinite(worst[live]).all():
+        if not np.isfinite(worst).all():
             raise QuadratureError(
                 "adaptive quadrature did not converge: non-finite integrand "
                 f"value among {len(lo)} panels", estimate=float("nan"))
-        done = live & (worst <= tol)
+        done = worst <= tol
         # the reported estimate is no lower than the rounding level of the
         # panel sum: panels that resolve an integrand well can bring
         # |K21 - G10| below it
-        out_val[done] = total[done]
-        out_err[done] = np.maximum(toterr[done],
-                                   _NOISE * np.abs(val[:, done]).sum(axis=0))
-        live &= ~done
-        if not live.any():
+        out_val[rows[done]] = total[done]
+        out_err[rows[done]] = np.maximum(
+            toterr[done], _NOISE * np.abs(val[:, done]).sum(axis=0))
+        if done.all():
             return out_val.reshape(shape), out_err.reshape(shape)
-        stalled = live & (worst > 0.5 * prev)
+        if done.any():
+            live = ~done
+            rows, atol, prev = rows[live], atol[live], prev[live]
+            val, err = val[:, live], err[:, live]
+            scale, tol, worst = scale[live], tol[live], worst[live]
+        stalled = worst > 0.5 * prev
         if stalled.any():
             noise = np.abs(val[:, stalled]).sum(axis=0).max(axis=1)
             stalled[stalled] = worst[stalled] < _NOISE * noise
         room = budget - len(lo)
         if stalled.any() or room <= 0:
-            k = int(np.argmax(stalled if stalled.any() else live))
+            k = int(np.argmax(stalled))
             rel = worst[k] / max(scale[k], 1e-300)
             why = ("stopped falling at rounding level" if stalled[k]
                    else "exhausted the panel budget")
@@ -188,26 +194,28 @@ def adaptive_quad_vec(f, a, b, rtol=1e-9, atol=0.0, max_panels=4000):
         prev = worst
         # per unconverged integral, its worst panels until their summed
         # error passes worst - tol/8; the round bisects their union
-        key = err[:, live].max(axis=2)
+        key = err.max(axis=2)
         desc = -np.sort(-key, axis=0)
         covered = np.cumsum(desc, axis=0)
-        n = (covered <= (worst - tol / 8.0)[live]).sum(axis=0)
+        n = (covered <= worst - tol / 8.0).sum(axis=0)
         pick = (key >= desc[np.minimum(n, len(lo) - 1), np.arange(key.shape[1])]
                 ).any(axis=1)
         if pick.sum() > room:   # the worst relative to their tolerance first
-            rank = np.where(pick, (key / np.maximum(tol[live], 1e-300)).max(axis=1),
+            rank = np.where(pick, (key / np.maximum(tol, 1e-300)).max(axis=1),
                             -1.0)
             pick[:] = False
             pick[np.argsort(-rank, kind="stable")[:room]] = True
         idx = np.flatnonzero(pick)
         left, right = lo[idx], hi[idx]
         mid = 0.5 * (left + right)
+        m = len(idx)
+        # every integral is evaluated on the new panels; only the
+        # unconverged ones are kept
         new_val, new_err = _panels(f, np.concatenate([left, mid]),
                                    np.concatenate([mid, right]))
-        new_val = new_val.reshape((2 * len(idx),) + val.shape[1:])
-        new_err = new_err.reshape(new_val.shape)
+        new_val = new_val.reshape((2 * m, n_int, -1))[:, rows]
+        new_err = new_err.reshape((2 * m, n_int, -1))[:, rows]
         # the left half replaces its parent, the right half is appended
-        m = len(idx)
         hi[idx], val[idx], err[idx] = mid, new_val[:m], new_err[:m]
         lo, hi = np.concatenate([lo, mid]), np.concatenate([hi, right])
         val = np.concatenate([val, new_val[m:]])

@@ -201,32 +201,34 @@ def _distance(points, point):
     return np.sqrt((d[:, None, :] @ d[:, :, None])[:, 0, 0])
 
 
-def _format(value):
-    return repr(float(value))
-
-
 def emit(records, fmt, path, metadata=None):
     """Write sweep records as CSV or JSON.
 
     CSV floats use round-trippable shortest-repr formatting; metadata (e.g.
-    donor/acceptor positions) is emitted as '#' comment lines.
+    donor/acceptor positions) is emitted as '#' comment lines. The CSV rows
+    are the bytes ``csv.writer`` writes, which quotes no field as long as
+    none holds a comma, a double quote or a line break: a method or flag
+    that does raises ``ValueError`` before the file is opened.
     """
     if not records:
         raise ValueError("no records to emit")
     if fmt == "csv":
+        for text in {t for rec in records for t in (rec.method, rec.flag)}:
+            if any(c in text for c in ',"\r\n'):
+                raise ValueError(f"CSV field {text!r} holds a comma, a double "
+                                 f"quote or a line break")
+        body = "".join(
+            f"{float(rec.x_m)!r},{float(rec.z_m)!r},{float(rec.gamma)!r},"
+            f"{float(rec.gamma_normalized)!r},{rec.method},"
+            f"{float(rec.error_estimate)!r},{rec.flag}\r\n"
+            for rec in records)
         try:
             with open(path, "w", newline="") as fh:
                 if metadata:
                     for key in sorted(metadata):
                         fh.write(f"# {key} = {metadata[key]}\n")
-                writer = csv.writer(fh)
-                writer.writerow(CSV_HEADER)
-                for rec in records:
-                    writer.writerow([
-                        _format(rec.x_m), _format(rec.z_m), _format(rec.gamma),
-                        _format(rec.gamma_normalized), rec.method,
-                        _format(rec.error_estimate), rec.flag,
-                    ])
+                fh.write(",".join(CSV_HEADER) + "\r\n")
+                fh.write(body)
         except OSError as exc:
             raise OSError(f"cannot write '{path}': {exc}") from exc
     elif fmt == "json":

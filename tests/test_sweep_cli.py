@@ -1,3 +1,4 @@
+import csv
 import json
 from pathlib import Path
 
@@ -495,6 +496,43 @@ class TestSweep:
         doc = json.loads(path.read_text())
         assert doc["metadata"] == {"note": "x"}
         assert len(doc["records"]) == 3
+
+    def test_csv_bytes_match_csv_writer(self, tmp_path):
+        """emit writes the rows csv.writer writes, for the float values a
+        row can hold and every method and flag a sweep writes."""
+        values = [float("nan"), -0.0, 5e-324, 1e-300, 1e16, 0.1]
+        labels = [("exact", ""), ("limits", "nr_guard"), ("exact", "clip"),
+                  ("exact", "error:QuadratureError"),
+                  ("limits", "error:GeometryError")]
+        recs = [sweep.RateRecord(values[k % 6], values[(k + 1) % 6],
+                                 values[(k + 2) % 6], values[(k + 3) % 6],
+                                 method, values[(k + 4) % 6], flag)
+                for k in range(12) for method, flag in labels]
+        metadata = {"lambda_d_m": 1e-6, "donor_z_lambda": 0.04}
+        path = tmp_path / "out.csv"
+        sweep.emit(recs, "csv", str(path), metadata=metadata)
+        ref = tmp_path / "ref.csv"
+        with open(ref, "w", newline="") as fh:
+            for key in sorted(metadata):
+                fh.write(f"# {key} = {metadata[key]}\n")
+            writer = csv.writer(fh)
+            writer.writerow(sweep.CSV_HEADER)
+            for rec in recs:
+                writer.writerow([repr(rec.x_m), repr(rec.z_m), repr(rec.gamma),
+                                 repr(rec.gamma_normalized), rec.method,
+                                 repr(rec.error_estimate), rec.flag])
+        assert path.read_bytes() == ref.read_bytes()
+
+    @pytest.mark.parametrize("method, flag", [
+        ("exact", "error:a,b"), ('ex"act', ""), ("exact", "x\ny"),
+        ("exact\r", "")])
+    def test_csv_rejects_fields_csv_would_quote(self, tmp_path, method, flag):
+        recs = [sweep.RateRecord(0.0, 1.0, 2.0, 3.0, "exact", 0.0, ""),
+                sweep.RateRecord(0.0, 1.0, 2.0, 3.0, method, 0.0, flag)]
+        path = tmp_path / "out.csv"
+        with pytest.raises(ValueError, match="comma, a double quote"):
+            sweep.emit(recs, "csv", str(path))
+        assert not path.exists()
 
     def test_bad_spec(self):
         with pytest.raises(ValueError):
