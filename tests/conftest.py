@@ -1,7 +1,18 @@
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from mqret.core import C
+
+# CI draws the same examples on every run, so that a failure there is one
+# that the next run repeats; local runs keep exploring new ones. Recent
+# hypothesis releases load a "ci" profile of their own when CI is set; this
+# one replaces it, and holds for every release that CI may install.
+settings.register_profile("ci", derandomize=True)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 
 @pytest.fixture

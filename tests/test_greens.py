@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from mqret import greens, media
+from mqret import greens, media, oracles
 from mqret.core import C, GeometryError, IDENTITY, QuadratureError
 
 
@@ -404,68 +404,39 @@ class TestBatchedSommerfeld:
                            rtol=1e-12)
 
 
-def kpar_reference(r, rp, eps):
-    """Scattering tensor components (xx, yy, zz, xz) by
-    ``scipy.integrate.quad_vec`` in k_par, with breakpoints at k1 and
-    k1 Re sqrt(eps) and the tail cut where kappa (z + z') = 40, as in the
-    evaluator. Only the inverse square root 1/k_z1 at k1 is removed, by
-    k_par = k1 (1 -+ w^2) on the two intervals beside it: quad_vec's
-    bisection alone spends its interval limit there. Returns the
-    components and quad_vec's error estimate relative to them."""
-    from scipy.integrate import quad_vec
-
-    k1 = OMEGA / C
-    big_z = r[2] + rp[2]
-    lateral = np.hypot(r[0] - rp[0], r[1] - rp[1])
-    refl = greens._reflection_callable(media.Constant(eps), OMEGA)
-    q_max = np.hypot(k1, 40.0 / big_z) / k1
-    n_b = min(media.sqrt_im_pos(eps).real, q_max)
-
-    def f(q, one_minus_q2):   # the integrand per dq = dk_par / k1
-        k_par = np.array([q * k1])
-        k_z = k1 * media.sqrt_im_pos(one_minus_q2)
-        comps = greens._angular_components(k_par, k_z, k1, big_z, lateral,
-                                           refl, k1 * k_par / k_z)
-        return 1j / (8.0 * np.pi**2) * comps[0]
-
-    pieces = [
-        (lambda w: 2.0 * w * f(1.0 - w * w, w * w * (2.0 - w * w)), 0.0, 1.0),
-        (lambda w: 2.0 * w * f(1.0 + w * w, -w * w * (2.0 + w * w)), 0.0,
-         np.sqrt(n_b - 1.0)),
-    ]
-    if n_b < q_max:
-        pieces.append((lambda q: f(q, (1.0 - q) * (1.0 + q)), n_b, q_max))
-    total, err = 0.0, 0.0
-    for fn, a, b in pieces:
-        value, e = quad_vec(fn, a, b, epsrel=1e-12, norm="max")
-        total, err = total + value, err + e
-    return total, err / np.abs(total).max()
-
-
 class TestBranchPointContour:
     """Over a dielectric with Re sqrt(eps) > 1 the evanescent segment is
     split at the branch point t_b = acosh(Re sqrt(eps)) of k_z2, with a
     substitution on each side that makes the integrand analytic there."""
 
     @settings(max_examples=20, deadline=None)
-    @given(eps_re=st.floats(1.05, 12.0),
-           eps_im=st.one_of(st.just(0.0), st.floats(0.0, 1e-2)),
+    @given(eps=st.one_of(
+               # dielectrics, lossless or nearly so
+               st.builds(complex, st.floats(1.05, 12.0),
+                         st.one_of(st.just(0.0), st.floats(0.0, 1e-2))),
+               # lossy metals, with the surface-plasmon pole near the axis
+               st.builds(complex, st.floats(-5.0, -1.05), st.floats(0.01, 1.0)),
+               # 0 < Re eps < 1, away from 0 (see test_oracles.py) and, as
+               # the dielectrics, from 1, where a vanishing tensor meets its
+               # rounding floor at a relative tolerance
+               st.builds(complex, st.floats(1e-3, 0.95),
+                         st.one_of(st.just(0.0), st.floats(0.0, 1.0)))),
            spread=st.floats(0.0, 1.0), log_z=st.floats(np.log10(0.004), 1.0),
            share=st.floats(0.1, 0.9), phi=st.floats(-np.pi, np.pi))
-    @example(eps_re=2.25, eps_im=0.0, spread=0.2, log_z=np.log10(8.0),
-             share=0.5, phi=0.3)    # cut-off before t_b: unsplit
-    @example(eps_re=11.68, eps_im=0.0, spread=0.3, log_z=np.log10(2.0),
-             share=0.3, phi=0.0)    # unsplit
-    @example(eps_re=2.25, eps_im=0.0, spread=0.27, log_z=np.log10(0.37),
-             share=0.2, phi=0.0)
-    @example(eps_re=1.05, eps_im=0.0, spread=2.2250738585e-313, log_z=0.0,
-             share=0.5, phi=0.0)    # subnormal lateral distance
-    def test_matches_quad_vec_in_kpar(self, eps_re, eps_im, spread, log_z,
-                                      share, phi):
+    @example(eps=2.25, spread=0.2, log_z=np.log10(8.0), share=0.5,
+             phi=0.3)    # cut-off before t_b: unsplit
+    @example(eps=11.68, spread=0.3, log_z=np.log10(2.0), share=0.3,
+             phi=0.0)    # unsplit
+    @example(eps=2.25, spread=0.27, log_z=np.log10(0.37), share=0.2, phi=0.0)
+    @example(eps=1.05, spread=2.2250738585e-313, log_z=0.0, share=0.5,
+             phi=0.0)    # subnormal lateral distance
+    def test_matches_quad_vec_in_kpar(self, eps, spread, log_z, share, phi):
         """z + z' from 0.004 to 10 lambda, lateral distance up to 3 lambda
         and up to 3 (z + z'): further out the k_par tail cancels so deeply
-        that quad_vec takes seconds per tensor at epsrel 1e-12."""
-        eps = complex(eps_re, eps_im)
+        that quad_vec takes seconds per tensor. The evaluator integrates a
+        lossless eps as eps + ``_LOSSLESS_NUDGE``, which moves the tensor by
+        about 1e-12 / |eps - 1| relative, beyond its own estimate near
+        eps = 1, so the reference integrates that permittivity too."""
         big_z = 10.0**log_z * LAM
         lateral = spread * min(3.0 * LAM, 3.0 * big_z)
         rho = lateral * np.array([np.cos(phi), np.sin(phi), 0.0])
@@ -474,8 +445,9 @@ class TestBranchPointContour:
         rtol = 1e-9
         g, err = greens.halfspace_scatter_full(r, rp, OMEGA, media.Constant(eps),
                                                rtol=rtol)
-        comps, ref_err = kpar_reference(r, rp, eps)
-        ref = greens._assemble(comps, phi if lateral > 0.0 else 0.0)
+        nudge = greens._LOSSLESS_NUDGE if eps.imag == 0.0 else 0.0
+        ref, ref_err = oracles.sommerfeld_reference(
+            r, rp, OMEGA, media.Constant(eps + nudge))
         dev = np.abs(g - ref).max() / np.abs(ref).max()
         assert dev <= rtol
         assert dev <= err + ref_err
