@@ -98,10 +98,11 @@ def _cmd_green(args):
 
 
 def _cmd_verify(args):
-    # imported here: the oracles pull in scipy.integrate, which no other
-    # command needs; it takes three times as long to import as the rest of
-    # the CLI and almost triples the memory of a fresh process (0.44 s and
-    # 52 MB on top of 0.15 s and 29 MB; Python 3.11, scipy 1.17, x86-64)
+    # imported here: the oracles pull in scipy.integrate and scipy.special,
+    # which no other command needs, since the Sommerfeld evaluator has its
+    # own J0 and J1; they take about three times as long to import as the
+    # rest of the CLI and almost triple the memory of a fresh process
+    # (51 MB on top of 29 MB; Python 3.11, scipy 1.17, x86-64)
     from .oracles import run_verification
 
     reports = run_verification()

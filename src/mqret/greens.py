@@ -201,20 +201,164 @@ def _reflection_callable(material, omega):
     return lambda k_par: fresnel(eps, k_par, omega)
 
 
-def _bessel_j012(x):
-    """J0, J1 and J2 of x >= 0, with J2 from the recurrence 2 J1(x)/x - J0(x),
-    several times cheaper than ``scipy.special.jn(2, x)``. Below x = 0.01,
-    where the recurrence cancels to its last digits (and, for subnormal x,
-    to 1e-11), J2 comes from its series x^2/8 (1 - x^2/12)."""
-    # imported here, so that a run of closed forms never loads scipy.special
-    # (about 5 MB of resident memory)
-    from scipy.special import j0, j1
+# J0 and J1 below x = 4: J0 = sum_k a_k s^k and J1 = x/2 sum_k b_k s^k in
+# s = x^2/8 - 1, to k = 14; the first term left out is below 2e-20. They are
+# the series sum_k (-4)^k / (k!)^2 t^k and sum_k (-4)^k / (k! (k+1)!) t^k in
+# t = (x/4)^2 = (1 + s)/2 re-expanded about t = 1/2 (mpmath, 40 digits). The
+# terms of the series in t reach 4 at x = 4 and cancel to J0(4) = -0.40, so
+# its rounding depends on the order in which a matrix product adds them: up
+# to 3.8e-15 for a lone argument. These sum to at most 1.4 in absolute value.
+_J01_SERIES = np.array([
+    [
+        -0.1965480952704682, -0.565959973761085, 0.4795280821510107,
+        -0.13103206351364546, 0.01835270061006565, -0.001578954136687973,
+        9.22817399022675e-05, -3.910341978706766e-06, 1.2577280628743836e-07,
+        -3.177439513646153e-09, 6.474431144957353e-11, -1.0868374333186139e-12,
+        1.5293231306100182e-14, -1.8301565026409144e-16, 1.885616936434574e-18,
+    ],
+    [
+        0.2829799868805425, -0.4795280821510107, 0.1965480952704682,
+        -0.0367054012201313, 0.003947385341719932, -0.0002768452197068025,
+        1.3686196925473682e-05, -5.030912251497535e-07, 1.4298477811407688e-08,
+        -3.2372155724786765e-10, 5.977605883252376e-12, -9.175938783660108e-14,
+        1.1896017267165944e-15, -1.3199318555042018e-17,
+        1.2677210760691464e-19,
+    ],
+])
 
-    b0, b1 = j0(x), j1(x)
+# J0 and J1 on [4, 8): the Taylor series about 6 in h = x - 6, with the
+# coefficients J_n^(k)(6) / k! to k = 23 (mpmath, 40 digits); the first term
+# left out is below 4e-18 at |h| = 2.
+_J01_ABOUT_6 = np.array([
+    [
+        0.15064525725099692, 0.27668385812756563, -0.0983796168027956,
+        -0.039367498300144674, 0.009276407324868195, 0.0015513507450481043,
+        -0.00030597063486259503, -3.00379719845373e-05, 5.2271836052672425e-06,
+        3.510618426683224e-07, -5.511322019111161e-08, -2.7609585487363876e-09,
+        3.960776046407199e-10, 1.5645081640241745e-11, -2.069162890392662e-12,
+        -6.697791108349888e-14, 8.222170622153802e-15, 2.243594838371826e-16,
+        -2.570533958516868e-17, -6.04189814611231e-19, 6.49057354160017e-20,
+        1.3365810739822966e-21, -1.3516480934739251e-22,
+        -2.4721522186289535e-24,
+    ],
+    [
+        -0.27668385812756563, 0.1967592336055912, 0.11810249490043402,
+        -0.03710562929947278, -0.007756753725240521, 0.0018358238091755702,
+        0.0002102658038917611, -4.181746884213794e-05, -3.1595565840149017e-06,
+        5.511322019111162e-07, 3.037054403610026e-08, -4.7529312556886386e-09,
+        -2.033860613231427e-10, 2.896828046549727e-11, 1.0046686662524833e-12,
+        -1.3155472995446084e-13, -3.814111225232104e-15, 4.626961125330362e-16,
+        1.1479606477613387e-17, -1.2981147083200339e-18,
+        -2.8068202553628226e-20, 2.973625805642635e-21, 5.685950102846594e-23,
+        -5.6679442446143114e-24,
+    ],
+])
+
+# P0, Q0, P1 and Q1 of Hankel's form of J0 and J1 from x = 8 up (see
+# _bessel_j01), as polynomials in y = (8/x)^2 of degree 11: mpmath's
+# chebyfit on y in [0, 1] at 40 digits, to P and Q from mpmath's J_n and
+# Y_n, within 2.6e-17 of them.
+_J01_HANKEL = np.array([
+    [
+        1.0, -0.0010986328124932216, 2.738088336416646e-05,
+        -2.1839132224663715e-06, 3.619758767812361e-07, -1.020564570797483e-07,
+        4.2546291790572966e-08, -2.220099170349574e-08, 1.1738404575384732e-08,
+        -5.095567444423025e-09, 1.4750393967466458e-09,
+        -2.0391504603291065e-10,
+    ],
+    [
+        -0.015624999999999976, 0.0001430511474538575, -6.9307858402402855e-06,
+        8.238379757156372e-07, -1.8158032712012744e-07, 6.375387204287001e-08,
+        -3.142366876079038e-08, 1.8400068951657234e-08,
+        -1.0435629789967938e-08, 4.716861679104599e-09,
+        -1.3980983130749886e-09, 1.9611107072011976e-10,
+    ],
+    [
+        1.0, 0.0018310546874928113, -3.5203992971025806e-05,
+        2.5809891297171923e-06, -4.102441117732622e-07, 1.1281774072269541e-07,
+        -4.6292540376970764e-08, 2.3923017346240325e-08,
+        -1.2580302532198723e-08, 5.444932988370198e-09,
+        -1.5735706702738963e-09, 2.1732281186744534e-10,
+    ],
+    [
+        0.04687499999999997, -0.0002002716064378206, 8.47096052798641e-06,
+        -9.50582922063157e-07, 2.0294684457276046e-07, -6.984201010520019e-08,
+        3.39793578734192e-08, -1.9739382005297028e-08, 1.1145494643485827e-08,
+        -5.0254196725244136e-09, 1.487484957986028e-09,
+        -2.0847373494450512e-10,
+    ],
+])
+
+
+def _powers(u, n):
+    """u^0, ..., u^(n-1) as the rows of an (n, u.size) array, each power
+    from at most log2(n) products."""
+    rows = np.empty((n, u.size))
+    rows[0] = 1.0
+    rows[1] = u
+    k = 1
+    while k + 1 < n:
+        top = min(2 * k + 1, n)
+        np.multiply(rows[1:top - k], rows[k], out=rows[k + 1:top])
+        k *= 2
+    return rows
+
+
+def _bessel_j01(x):
+    """J0 and J1 of an array x >= 0, each of the shape of x.
+
+    Below x = 4 and on [4, 8) they are Taylor series about x = 2 sqrt(2)
+    and x = 6 (``_J01_SERIES`` and ``_J01_ABOUT_6``); from x = 8 up
+    Hankel's form
+
+        J0 = sqrt(1/(pi x)) [P0 (cos x + sin x) - (8/x) Q0 (sin x - cos x)]
+        J1 = sqrt(1/(pi x)) [P1 (sin x - cos x) + (8/x) Q1 (sin x + cos x)]
+
+    with P and Q the polynomials in (8/x)^2 of ``_J01_HANKEL`` and one sin
+    and cos of x shared by both. Each polynomial is one row of a matrix
+    product with the powers of its variable. Writing cos(x - pi/4) as
+    (cos x + sin x)/sqrt(2) leaves x unrounded, where
+    ``scipy.special.j0`` and ``j1`` round x - pi/4 to a double, which moves
+    J by up to eps sqrt(x / 2 pi): 2.0e-15 and 1.5e-14 from mpmath on
+    [8, 2000) and [2000, 1e5]. Against mpmath at 30 digits this kernel is
+    within 4e-16 below x = 8 and 1.4e-16 beyond, for any number of
+    arguments.
+    """
+    j0, j1 = np.empty(x.shape), np.empty(x.shape)
+    below, beyond = x < 4.0, x >= 8.0
+    between = ~(below | beyond)
+    xs = x[below]
+    s0, s1 = _J01_SERIES @ _powers(0.125 * xs * xs - 1.0, 15)
+    j0[below], j1[below] = s0, 0.5 * xs * s1
+    j0[between], j1[between] = _J01_ABOUT_6 @ _powers(x[between] - 6.0, 24)
+    xb = x[beyond]
+    r = 8.0 / xb
+    p0, q0, p1, q1 = _J01_HANKEL @ _powers(r * r, 12)
+    cos, sin = np.cos(xb), np.sin(xb)
+    plus, minus = cos + sin, sin - cos
+    amp = np.sqrt(1.0 / (np.pi * xb))
+    j0[beyond] = amp * (p0 * plus - r * q0 * minus)
+    j1[beyond] = amp * (p1 * minus + r * q1 * plus)
+    return j0, j1
+
+
+def _bessel_j012(x):
+    """J0, J1 and J2 of x >= 0, each of the shape of x. J0 and J1 come from
+    :func:`_bessel_j01`, J2 from the recurrence 2 J1(x)/x - J0(x). Below
+    x = 0.01, where the recurrence cancels to its last digits (and, for
+    subnormal x, to 1e-11), J2 comes from its series x^2/8 (1 - x^2/12).
+    All-zero x (every on-axis tensor) gives J0 = 1 and J1 = J2 = 0 at
+    once."""
+    x = np.asarray(x, dtype=float)
+    if not x.any():
+        return np.ones(x.shape), np.zeros(x.shape), np.zeros(x.shape)
+    b0, b1 = _bessel_j01(x)
     small = x < 1e-2
-    x2 = x * x
-    return b0, b1, np.where(small, 0.125 * x2 * (1.0 - x2 / 12.0),
-                            2.0 * b1 / np.where(small, 1.0, x) - b0)
+    b2 = 2.0 * b1 / np.where(small, 1.0, x) - b0
+    if small.any():
+        x2 = x[small] ** 2
+        b2[small] = 0.125 * x2 * (1.0 - x2 / 12.0)
+    return b0, b1, b2
 
 
 def _kernel_columns(k_par, k_z, k1, refl):
@@ -234,20 +378,6 @@ def _components(cols):
     :func:`_kernel_columns` along the last axis; zx = -xz."""
     a, b, c, d = np.moveaxis(cols, -1, 0)
     return np.stack([a + b, a - b, c, d], axis=-1)
-
-
-def _angular_components(k_par, k_z, k1, big_z, lateral, refl, weight=1.0):
-    """phi-integrated integrand components in the frame with the lateral
-    separation along +x.
-
-    Returns shape (n, 4): (xx, yy, zz, xz) including the e^{i k_z Z}
-    propagation factor and a per-node ``weight`` (the contour jacobian, if
-    the caller wants it in).
-    """
-    b0, b1, b2 = _bessel_j012(k_par * lateral)
-    w = np.pi * weight * np.exp(1j * k_z * big_z)
-    cols = _kernel_columns(k_par, k_z, k1, refl)
-    return _components(w[..., None] * cols * np.stack([b0, b2, b0, b1], axis=-1))
 
 
 def _assemble(comps, phi0):

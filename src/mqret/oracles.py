@@ -11,13 +11,15 @@ from functools import partial
 
 import numpy as np
 from scipy.integrate import quad, quad_vec
+from scipy.special import jv
 
 from .core import C, TINY, dyadic_reciprocity_defect
 from .greens import (
     _EVANESCENT_DECADES,
     _LOSSLESS_NUDGE,
-    _angular_components,
     _assemble,
+    _components,
+    _kernel_columns,
     mirror_scatter_exact,
 )
 from .media import PerfectReflector, fresnel, permittivity, sqrt_im_pos
@@ -149,6 +151,22 @@ def contour_identity_check(rho, omega_d, which="plus", include_pole=True):
 
 
 # --- quad_vec Sommerfeld reference ------------------------------------------
+
+def _angular_components(k_par, k_z, k1, big_z, lateral, refl, weight=1.0):
+    """phi-integrated integrand components in the frame with the lateral
+    separation along +x.
+
+    Returns shape (n, 4): (xx, yy, zz, xz) including the e^{i k_z Z}
+    propagation factor and a per-node ``weight`` (the contour jacobian, if
+    the caller wants it in). J0, J1 and J2 come from ``scipy.special.jv``,
+    so that the reference shares no Bessel code with the evaluator's
+    :func:`mqret.greens._bessel_j012`.
+    """
+    b0, b1, b2 = jv(np.array([0, 1, 2])[:, None], k_par * lateral)
+    w = np.pi * weight * np.exp(1j * k_z * big_z)
+    cols = _kernel_columns(k_par, k_z, k1, refl)
+    return _components(w[..., None] * cols * np.stack([b0, b2, b0, b1], axis=-1))
+
 
 def _kpar_pieces(big_z, lateral, omega, material):
     """The Sommerfeld integral in q = k_par / k1 as pieces ``(f, width)``
@@ -287,7 +305,7 @@ def run_verification():
         name="mirror-vs-sommerfeld",
         inputs={"points": 5},
         reference=0.0, value=worst, rel_error=worst,
-        tolerance=1e-6, passed=worst < 1e-6,
+        tolerance=1e-10, passed=worst < 1e-10,
     ))
 
     # adaptive evaluator vs reference: they must agree within their

@@ -1,6 +1,7 @@
-"""Start-up cost: the constants are literals, and a CLI run loads from scipy
-only what its physics needs. Each run starts a fresh interpreter, because
-this test process has long since imported scipy."""
+"""Start-up cost: the constants are literals and the Bessel functions a
+numpy kernel, so that no CLI run but `mqret verify` loads scipy. Each run
+starts a fresh interpreter, because this test process has long since
+imported scipy."""
 
 import json
 import math
@@ -82,10 +83,18 @@ def test_closed_form_runs_load_no_scipy(tmp_path):
     assert loaded == set()
 
 
-def test_sommerfeld_rate_loads_scipy_special_only(tmp_path):
-    """A rate over a dielectric needs the Bessel functions of
-    scipy.special, but neither scipy.constants nor scipy.integrate."""
+def test_sommerfeld_runs_load_no_scipy(tmp_path):
+    """Rates, maps and z-sweeps over a dielectric take their Bessel
+    functions from the numpy kernel of mqret.greens, so they load no scipy
+    module either; only `mqret verify` does."""
     cfg = write_configs(tmp_path)
-    loaded = scipy_modules_after([["rate", "--config", cfg["eps"]]])
-    assert "scipy.special" in loaded
-    assert not {"scipy.constants", "scipy.integrate"} & loaded
+    loaded = scipy_modules_after([
+        ["rate", "--config", cfg["eps"]],
+        ["map", "--config", cfg["eps"], "--xmin", "-1", "--xmax", "1",
+         "--zmin", "0.2", "--zmax", "1", "--nx", "4", "--nz", "4", "--out",
+         str(tmp_path / "map.csv")],
+        ["sweep-z", "--config", cfg["eps"], "--zmin", "0.2", "--zmax", "3",
+         "--steps", "5", "--method", "both", "--out",
+         str(tmp_path / "z.csv")],
+    ])
+    assert loaded == set()
