@@ -51,9 +51,6 @@ _IMAGE_PARITY = np.array([1.0, 1.0, -1.0])
 # truncation of the evanescent Sommerfeld tail: kappa * (z + z') = 40
 _EVANESCENT_DECADES = 40.0
 
-# small positive imaginary nudge stabilising the branch point for lossless eps
-_LOSSLESS_NUDGE = 1e-12j
-
 
 @dataclass(frozen=True)
 class Vacuum:
@@ -191,15 +188,6 @@ def mirror_scatter_exact(r, r_prime, omega):
 
 
 # --- half-space scattering: full Sommerfeld evaluation -----------------------
-
-def _reflection_callable(material, omega):
-    if isinstance(material, PerfectReflector):
-        return lambda k_par: fresnel(material, k_par, omega)
-    eps = permittivity(material, omega)
-    if eps.imag == 0.0:
-        eps = eps + _LOSSLESS_NUDGE  # passivity-consistent branch-point regularisation
-    return lambda k_par: fresnel(eps, k_par, omega)
-
 
 # J0 and J1 below x = 4: J0 = sum_k a_k s^k and J1 = x/2 sum_k b_k s^k in
 # s = x^2/8 - 1, to k = 14; the first term left out is below 2e-20. They are
@@ -558,8 +546,10 @@ def halfspace_scatter_full(r, r_prime, omega, material, rtol=1e-9,
     analytic on both sides of the edge and the panels converge
     geometrically instead of algebraically (see :func:`_contour_edges`).
     Metals (Re sqrt(eps) <= 1) and the perfect reflector keep the two plain
-    segments. All segments are integrated in one adaptive call over the
-    abscissa s, with a panel boundary where two segments join. Each segment
+    segments. r_s and r_p are :func:`mqret.media.fresnel` of the material as
+    given: for a lossless eps its square roots take the passive +i0 branch.
+    All segments are integrated in one adaptive call over the abscissa s,
+    with a panel boundary where two segments join. Each segment
     starts as ``_SEED_PANELS`` = 4 equal panels, the mesh that the first
     rounds from one panel per segment would only build by bisection; a
     lone near-zone tensor converges on it in one round.
@@ -614,8 +604,11 @@ def halfspace_scatter_full(r, r_prime, omega, material, rtol=1e-9,
         blocks = [(block, _distinct_terms(z_sum[block], lateral[block]))
                   for block in np.array_split(order, -(-len(order) // _BLOCK))]
     k1 = omega / C
-    refl = _reflection_callable(material, omega)
     t_b = _branch_edge(material, omega)
+
+    def refl(k_par):
+        return fresnel(material, k_par, omega)
+
     comps = np.empty((len(z_sum), 4), dtype=complex)
     err = np.empty(comps.shape)
     for block, block_terms in blocks:

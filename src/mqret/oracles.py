@@ -16,7 +16,6 @@ from scipy.special import jv
 from .core import C, TINY, dyadic_reciprocity_defect
 from .greens import (
     _EVANESCENT_DECADES,
-    _LOSSLESS_NUDGE,
     _assemble,
     _components,
     _kernel_columns,
@@ -218,8 +217,8 @@ def sommerfeld_reference(r, r_prime, omega, material):
     the pieces of :func:`_kpar_pieces`, for dielectrics, 0 < Re eps < 1,
     lossy metals and the perfect reflector. It shares no quadrature rule
     (15-point Gauss-Kronrod, not 21) and no contour with the adaptive
-    evaluator, and no imaginary nudge of a lossless eps: r_s and r_p come
-    from :func:`mqret.media.fresnel`. Each piece runs to a relative
+    evaluator; r_s and r_p come from :func:`mqret.media.fresnel`, as the
+    evaluator's do, at the permittivity given. Each piece runs to a relative
     tolerance of 1e-10 in the max norm. Returns ``(tensor, relative error
     estimate)``, the pieces' summed estimates over the largest component.
     """
@@ -310,25 +309,23 @@ def run_verification():
 
     # adaptive evaluator vs reference: they must agree within their
     # combined error bars, and the reference's own estimate must be small
-    # enough for that to test anything. A lossless eps is integrated at
-    # eps + _LOSSLESS_NUDGE, as the evaluator does: the shift, about
-    # 1e-12 / |eps - 1| relative, can exceed its estimate. The other
-    # materials draw from their own generator, so that the dielectric
-    # points and the reciprocity pairs keep their inputs.
+    # enough for that to test anything. Every material is integrated as
+    # given. The other materials draw from their own generator, so that the
+    # dielectric points and the reciprocity pairs keep their inputs.
     metal = DrudeLorentz(omega_p=2.5 * omega, omega_0=0.0, gamma=0.2 * omega)
-    points = [(Constant(eps), Constant(eps + _LOSSLESS_NUDGE), z_min, rng)
+    points = [(Constant(eps), z_min, rng)
               for eps, z_min in ((2.0, 0.3),) * 5 + ((2.25, 0.05), (11.68, 0.05)) * 3]
     other = np.random.default_rng(8)
-    points += [(mat, mat, 0.05, other) for mat in (
+    points += [(mat, 0.05, other) for mat in (
         Constant(-5.0 + 0.01j), Constant(-1.05 + 0.01j), Constant(0.5 + 0.1j), metal)]
     worst, worst_ref = 0.0, 0.0
-    for mat, ref_mat, z_min, gen in points:
+    for mat, z_min, gen in points:
         r = np.array([gen.uniform(-0.5, 0.5), gen.uniform(-0.5, 0.5),
                       gen.uniform(z_min, 1.5)]) * lam
         rp = np.array([gen.uniform(-0.5, 0.5), gen.uniform(-0.5, 0.5),
                        gen.uniform(z_min, 1.5)]) * lam
         g_full, e_full = halfspace_scatter_full(r, rp, omega, mat)
-        g_ref, e_ref = sommerfeld_reference(r, rp, omega, ref_mat)
+        g_ref, e_ref = sommerfeld_reference(r, rp, omega, mat)
         d = _tensor_rel(g_full, g_ref)
         worst = max(worst, d / max(e_full + e_ref, 1e-16))
         worst_ref = max(worst_ref, e_ref)

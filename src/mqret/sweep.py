@@ -19,7 +19,7 @@ import numpy as np
 
 from .config import ConfigError
 from .core import GeometryError, QuadratureError
-from .media import StaticScalar, SurfaceModeError, SymbolicMaterialError
+from .media import StaticScalar, SurfaceModeError
 from .rates import Mediator, _check_positions, _direct, rate_isotropic
 
 CSV_HEADER = ["x_m", "z_m", "gamma", "gamma_normalized", "method",
@@ -73,8 +73,7 @@ class RateRecord:
 
 
 # failures that belong to one point; anything else is a bug and aborts the sweep
-_ROW_ERRORS = (GeometryError, QuadratureError, ConfigError, SurfaceModeError,
-               SymbolicMaterialError)
+_ROW_ERRORS = (GeometryError, QuadratureError, SurfaceModeError)
 
 
 # rows per chunk at most: bounds the memory of one batched evaluation.

@@ -510,10 +510,8 @@ class TestBranchPointContour:
     def test_matches_quad_vec_in_kpar(self, eps, spread, log_z, share, phi):
         """z + z' from 0.004 to 10 lambda, lateral distance up to 3 lambda
         and up to 3 (z + z'): further out the k_par tail cancels so deeply
-        that quad_vec takes seconds per tensor. The evaluator integrates a
-        lossless eps as eps + ``_LOSSLESS_NUDGE``, which moves the tensor by
-        about 1e-12 / |eps - 1| relative, beyond its own estimate near
-        eps = 1, so the reference integrates that permittivity too."""
+        that quad_vec takes seconds per tensor. Both integrate a lossless
+        eps as given."""
         big_z = 10.0**log_z * LAM
         lateral = spread * min(3.0 * LAM, 3.0 * big_z)
         rho = lateral * np.array([np.cos(phi), np.sin(phi), 0.0])
@@ -522,9 +520,8 @@ class TestBranchPointContour:
         rtol = 1e-9
         g, err = greens.halfspace_scatter_full(r, rp, OMEGA, media.Constant(eps),
                                                rtol=rtol)
-        nudge = greens._LOSSLESS_NUDGE if eps.imag == 0.0 else 0.0
-        ref, ref_err = oracles.sommerfeld_reference(
-            r, rp, OMEGA, media.Constant(eps + nudge))
+        ref, ref_err = oracles.sommerfeld_reference(r, rp, OMEGA,
+                                                    media.Constant(eps))
         dev = np.abs(g - ref).max() / np.abs(ref).max()
         assert dev <= rtol
         assert dev <= err + ref_err

@@ -30,19 +30,23 @@ class TestContourIdentities:
 
 
 class TestSommerfeldReference:
-    def test_independent_integrators_agree(self):
-        """Adaptive evaluator vs the quad_vec reference, both at
-        eps = 2.25 + 1e-12i, the permittivity the evaluator integrates for
-        eps = 2.25 (``greens._LOSSLESS_NUDGE``)."""
-        r1 = np.array([0.2, 0.1, 0.35]) * LAM
-        r2 = np.array([-0.1, 0.3, 0.5]) * LAM
+    @pytest.mark.parametrize("eps, rtol, r1, r2", [
+        (2.25, 1e-9, (0.2, 0.1, 0.35), (-0.1, 0.3, 0.5)),
+        (0.5, 1e-12, (0.3, 0.0, 0.2), (0.0, 0.0, 0.1)),
+    ], ids=["dielectric", "low-index"])
+    def test_independent_integrators_agree(self, eps, rtol, r1, r2):
+        """Adaptive evaluator vs the quad_vec reference, both at the lossless
+        eps itself. At rtol 1e-12 the estimates must still bound the
+        deviation: shifting eps = 0.5 by 1e-12i moves the tensor by 2.7e-12,
+        beyond the 2.3e-12 of the two estimates."""
+        r1, r2 = np.array(r1) * LAM, np.array(r2) * LAM
         adaptive, err = greens.halfspace_scatter_full(
-            r1, r2, OMEGA, media.Constant(2.25), rtol=1e-9)
+            r1, r2, OMEGA, media.Constant(eps), rtol=rtol)
         reference, ref_err = oracles.sommerfeld_reference(
-            r1, r2, OMEGA, media.Constant(2.25 + greens._LOSSLESS_NUDGE))
+            r1, r2, OMEGA, media.Constant(eps))
         dev = np.max(np.abs(adaptive - reference)) / np.max(np.abs(reference))
         assert dev <= err + ref_err
-        assert dev <= 1e-9
+        assert dev <= rtol
 
     def test_lossy_metal(self):
         """eps = -5 + 0.01i: a surface-plasmon pole just off the real k_par
@@ -99,7 +103,7 @@ class TestSommerfeldReference:
         adaptive, err = greens.halfspace_scatter_full(
             r1, r2, OMEGA, media.Constant(1e-8), rtol=1e-9)
         reference, ref_err = oracles.sommerfeld_reference(
-            r1, r2, OMEGA, media.Constant(1e-8 + greens._LOSSLESS_NUDGE))
+            r1, r2, OMEGA, media.Constant(1e-8))
         dev = np.max(np.abs(adaptive - reference)) / np.max(np.abs(reference))
         assert dev <= err + ref_err
 

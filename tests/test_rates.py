@@ -232,13 +232,14 @@ class TestCouplingTensors:
         true_err = np.abs(loose.gamma - tight.gamma) / tight.gamma
         assert np.all(true_err <= loose.error_estimate)
 
-    @pytest.mark.parametrize("eps", [1.0 + 1e-7, 1.0001])
+    @pytest.mark.parametrize("eps", [1.0, 1.0 + 1e-7, 1.0001])
     def test_index_matched_half_space_converges(self, eps, monkeypatch):
-        """A nearly index-matched half-space scatters almost nothing. Each
-        tensor refines only until its error is small against F, not against
-        its own vanishing scattering part, so a two-mediator rate converges
-        in at most 20 integrand calls (at atol 0 every tensor exhausted its
-        4000 panels) and lies within eps - 1 of the vacuum rate."""
+        """A nearly index-matched half-space scatters almost nothing, and
+        one at eps = 1 nothing at all. Each tensor refines only until its
+        error is small against F, not against its own vanishing scattering
+        part, so a two-mediator rate converges in at most 20 integrand calls
+        (at atol 0 every tensor exhausted its 4000 panels) and lies within
+        eps - 1 of the vacuum rate, which at eps = 1 it equals."""
         from mqret import quadrature
 
         quad = quadrature.adaptive_quad_vec
