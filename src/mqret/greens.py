@@ -351,36 +351,67 @@ def _bessel_j012(x):
 
 def _kernel_columns(k_par, k_z, k1, refl):
     """The phi-integrated integrand, apart from its weight and e^{i k_z Z},
-    as four columns (c1 - c2, c1 + c2, c3, c4) that multiply J0, J2, J0 and
-    J1 of k_par rho: c1 = r_s, c2 = r_p (k_z/k1)^2, c3 = 2 r_p (k_par/k1)^2,
-    c4 = -2i r_p k_z k_par / k1^2. :func:`_components` turns them into the
-    components."""
+    as four columns (c1 - c2, c1 + c2, c3, c4) along a new last axis, which
+    multiply J0, J2, J0 and J1 of k_par rho: c1 = r_s, c2 = r_p (k_z/k1)^2,
+    c3 = 2 r_p (k_par/k1)^2, c4 = -2i r_p k_z k_par / k1^2. Weighted by
+    their Bessel functions and summed over the nodes, they are the columns
+    that :func:`_components` turns into the components."""
     r_s, r_p = refl(k_par)
     c2 = r_p * (k_z / k1) ** 2
-    return np.stack([r_s - c2, r_s + c2, 2.0 * r_p * (k_par / k1) ** 2,
-                     -2j * r_p * k_z * k_par / k1**2], axis=-1)
+    cols = np.empty(c2.shape + (4,), dtype=complex)
+    np.subtract(r_s, c2, out=cols[..., 0])
+    np.add(r_s, c2, out=cols[..., 1])
+    np.multiply(2.0 * r_p, (k_par / k1) ** 2, out=cols[..., 2])
+    np.divide(-2j * r_p * k_z * k_par, k1**2, out=cols[..., 3])
+    return cols
+
+
+def _bessel_columns(kernel, k_par, rho):
+    """The columns of :func:`_kernel_columns`, shape (..., 1, 4), times
+    J0, J2, J0 and J1 of k_par rho for each lateral offset rho: shape
+    (..., len(rho), 4). When every rho is 0 (on axis) the factors are
+    J0 = 1 and J1 = J2 = 0, the values :func:`_bessel_j012` returns there,
+    and are not evaluated."""
+    if not rho.any():
+        return kernel * np.array([1.0, 0.0, 1.0, 0.0])
+    b0, b1, b2 = _bessel_j012(k_par * rho)
+    cols = np.empty(b0.shape + (4,), dtype=complex)
+    for k, b in enumerate((b0, b2, b0, b1)):
+        np.multiply(b, kernel[..., k], out=cols[..., k])
+    return cols
 
 
 def _components(cols):
-    """Components (xx, yy, zz, xz) from the four Bessel-weighted columns of
-    :func:`_kernel_columns` along the last axis; zx = -xz."""
-    a, b, c, d = np.moveaxis(cols, -1, 0)
-    return np.stack([a + b, a - b, c, d], axis=-1)
+    """Components (xx, yy, zz, xz) = (a + b, a - b, c, d) from the four
+    Bessel-weighted columns (a, b, c, d) of :func:`_kernel_columns` along
+    the last axis of the complex array ``cols``, written over them; zx =
+    -xz."""
+    b = cols[..., 1].copy()
+    np.subtract(cols[..., 0], b, out=cols[..., 1])
+    cols[..., 0] += b
+    return cols
 
 
 def _assemble(comps, phi0):
     """Tensor R g R^T from components ``(..., 4)`` (xx, yy, zz, xz) in the
     frame with the lateral separation along +x, where zx = -xz, rotated by
     ``phi0`` about z."""
-    xx, yy, zz, xz = np.moveaxis(np.asarray(comps, dtype=complex), -1, 0)
-    zx = -xz
+    comps = np.asarray(comps, dtype=complex)
+    xx, yy, zz, xz = (comps[..., k] for k in range(4))
     c, s = np.cos(phi0), np.sin(phi0)
-    cs = c * s * (xx - yy)
-    return np.stack([
-        np.stack([c * c * xx + s * s * yy, cs, c * xz], axis=-1),
-        np.stack([cs, s * s * xx + c * c * yy, s * xz], axis=-1),
-        np.stack([c * zx, s * zx, zz], axis=-1),
-    ], axis=-2)
+    cc, ss = c * c, s * s
+    g = np.empty(np.broadcast(xx, c).shape + (3, 3), dtype=complex)
+    np.add(cc * xx, ss * yy, out=g[..., 0, 0])
+    np.add(ss * xx, cc * yy, out=g[..., 1, 1])
+    np.multiply(c * s, xx - yy, out=g[..., 0, 1])
+    g[..., 1, 0] = g[..., 0, 1]
+    np.multiply(c, xz, out=g[..., 0, 2])
+    np.multiply(s, xz, out=g[..., 1, 2])
+    zx = -xz
+    np.multiply(c, zx, out=g[..., 2, 0])
+    np.multiply(s, zx, out=g[..., 2, 1])
+    g[..., 2, 2] = zz
+    return g
 
 
 def _branch_edge(material, omega):
@@ -430,18 +461,27 @@ def _contour_edges(t_max, t_b):
 def _contour_point(s, k1, t_b):
     """k_par, k_z and the jacobian k_par (dk_par/ds) / k_z at the contour
     abscissae ``s`` of :func:`_contour_edges`: k_par for theta and
-    -i k_par dt/ds for the evanescent segments."""
+    -i k_par dt/ds for the evanescent segments. The sines and cosines,
+    the costly functions, are evaluated on the nodes of their own segment
+    only."""
     theta = s + (1.0 + 1.5 * np.pi)
     prop = theta < 0.5 * np.pi
-    v, u = s + (1.0 + np.pi), s + 1.0
     below = ~prop & (s < -1.0)
     square = (s >= -1.0) & (s < 0.0)
-    t = np.where(below, t_b * np.sin(0.5 * v) ** 2,
-                 np.where(square, t_b + u * u, s))
-    dt = np.where(below, 0.5 * t_b * np.sin(v), np.where(square, 2.0 * u, 1.0))
-    k_par = np.where(prop, k1 * np.sin(theta), k1 * np.cosh(t))
-    k_z = np.where(prop, k1 * np.cos(theta), 1j * k1 * np.sinh(t))
-    return k_par, k_z, np.where(prop, k_par, -1j * k_par * dt)
+    u = s + 1.0
+    t = np.where(square, t_b + u * u, s)
+    dt = np.where(square, 2.0 * u, 1.0)
+    v = s[below] + (1.0 + np.pi)
+    t[below] = t_b * np.sin(0.5 * v) ** 2
+    dt[below] = 0.5 * t_b * np.sin(v)
+    k_par = k1 * np.cosh(t)
+    k_z = 1j * k1 * np.sinh(t)
+    theta = theta[prop]
+    k_par[prop] = k1 * np.sin(theta)
+    k_z[prop] = k1 * np.cos(theta)
+    jac = -1j * k_par * dt
+    jac[prop] = k_par[prop]
+    return k_par, k_z, jac
 
 
 # A batch is reduced by one matrix product over its distinct heights Z and
@@ -464,7 +504,11 @@ _SEED_PANELS = 4
 
 def _distinct_terms(z_sum, lateral):
     """Distinct heights Z and lateral offsets rho of a batch, each with the
-    index of every geometry's entry: ``(big_z, z_of, rho, rho_of)``."""
+    index of every geometry's entry: ``(big_z, z_of, rho, rho_of)``. A lone
+    geometry is its own distinct Z and rho."""
+    if len(z_sum) == 1:
+        first = np.zeros(1, dtype=np.intp)
+        return z_sum, first, lateral, first
     big_z, z_of = np.unique(z_sum, return_inverse=True)
     rho, rho_of = np.unique(lateral, return_inverse=True)
     return big_z, z_of, rho, rho_of
@@ -478,8 +522,12 @@ def _shares_terms(terms):
 
 def _seeded_edges(lo, hi):
     """The panels ``(lo, hi)`` each cut into ``_SEED_PANELS`` equal ones;
-    every original edge stays an edge, bit for bit."""
-    grid = np.linspace(lo, hi, _SEED_PANELS + 1, axis=1)
+    every original edge stays an edge, bit for bit. The edges are those of
+    ``np.linspace(lo, hi, _SEED_PANELS + 1, axis=1)``, by its own formula
+    lo + k (hi - lo) / _SEED_PANELS with the last edge set to hi."""
+    step = (hi - lo) / _SEED_PANELS
+    grid = np.arange(_SEED_PANELS + 1.0) * step[:, None] + lo[:, None]
+    grid[:, -1] = hi
     return grid[:, :-1].ravel(), grid[:, 1:].ravel()
 
 
@@ -492,10 +540,17 @@ def _sommerfeld_run(terms, k1, refl, t_b, rtol, atol, max_panels):
     tolerance. The run starts from the segments of
     :func:`_contour_edges` for the lowest Z, each cut into
     ``_SEED_PANELS`` equal panels."""
+    # imported per call: bench/tracing.py wraps quadrature.adaptive_quad_vec
     from .quadrature import RULES, adaptive_quad_vec
 
     big_z, z_of, rho, rho_of = terms
+    n_rho, n_geo = len(rho), len(z_of)
     product = _shares_terms(terms)
+    if product and n_geo > 1:
+        # each geometry's entry (rule, geometry, column) in a panel's
+        # product (Z, rule, rho, column), as flat offsets
+        entry = ((2 * z_of + np.arange(2)[:, None]) * n_rho
+                 + rho_of)[..., None] * 4 + np.arange(4)
     edges = _seeded_edges(*_contour_edges(
         float(np.arcsinh(_EVANESCENT_DECADES / (k1 * big_z[0]))), t_b))
     n_node = RULES.shape[1]
@@ -505,26 +560,30 @@ def _sommerfeld_run(terms, k1, refl, t_b, rtol, atol, max_panels):
         n_pan = s.size // n_node
         k_par, k_z, jac = (v.reshape(n_pan, n_node, 1)
                            for v in _contour_point(s, k1, t_b))
-        # phase (panel, node, Z) and Bessel terms (panel, node, rho)
+        # phase (panel, node, Z)
         phase = np.exp(1j * k_z * big_z) * (np.pi * pref * jac)
-        b0, b1, b2 = _bessel_j012(k_par * rho)
         # (panel, node, rho, column)
-        cols = (np.stack([b0, b2, b0, b1], axis=-1)
-                * _kernel_columns(k_par, k_z, k1, refl))
+        cols = _bessel_columns(_kernel_columns(k_par, k_z, k1, refl), k_par,
+                               rho)
         if product:
-            # per panel (Z, rule) x (rho, column), its components, then each
-            # geometry's entry: the one array as large as the batch
-            rows = phase.transpose(0, 2, 1)[:, :, None, :] * RULES
+            # per panel (Z, rule) x (rho, column), then each geometry's
+            # entry (panel, rule, geometry, column): the one array as large
+            # as the batch
+            rows = np.empty((n_pan, len(big_z), 2, n_node), dtype=complex)
+            np.multiply(phase.transpose(0, 2, 1)[:, :, None, :], RULES,
+                        out=rows)
             prod = (rows.reshape(n_pan, -1, n_node)
                     @ cols.reshape(n_pan, n_node, -1))
-            prod = prod.reshape(n_pan, len(big_z), 2, len(rho), 4)
-            comps = _components(prod.transpose(2, 0, 1, 3, 4))
-            return comps[:, :, z_of, rho_of]
-        pair = (np.take(phase, z_of, axis=2)[..., None]
-                * np.take(cols, rho_of, axis=2))
-        sums = (RULES @ pair.reshape(n_pan, n_node, -1)).reshape(
-            n_pan, 2, len(z_of), 4).transpose(1, 0, 2, 3)
-        return _components(sums)
+            if n_geo == 1:
+                sums = prod.reshape(n_pan, 2, 1, 4)
+            else:
+                sums = np.take(prod.reshape(n_pan, -1), entry, axis=1)
+        else:
+            pair = (np.take(phase, z_of, axis=2)[..., None]
+                    * np.take(cols, rho_of, axis=2))
+            sums = (RULES @ pair.reshape(n_pan, n_node, -1)).reshape(
+                n_pan, 2, n_geo, 4)
+        return _components(sums).transpose(1, 0, 2, 3)
 
     return adaptive_quad_vec(integrand, *edges, rtol=rtol, atol=atol,
                              max_panels=max_panels)
@@ -566,11 +625,15 @@ def halfspace_scatter_full(r, r_prime, omega, material, rtol=1e-9,
     a geometry only through e^{i k_z Z}, Z = z + z', and the Bessel
     functions of k_par rho, rho the lateral distance. So the per-node terms
     are evaluated once per node, the phase once per distinct Z and the
-    Bessel functions once per distinct rho; the distinct values are found
-    once per run. When the batch has at most ``_PRODUCT_RATIO`` distinct
-    (Z, rho) combinations per geometry (a map, a z-sweep), each panel is
-    reduced by its K21 and G10 weights as a matrix product over (Z, rule)
-    and (rho, column), from which each geometry takes its (Z, rho) entry.
+    Bessel functions once per distinct rho, and not at all on axis, where
+    J0 = 1 and J1 = J2 = 0; the distinct values are found once per run (a
+    lone geometry has its own). When the batch has at most
+    ``_PRODUCT_RATIO`` distinct (Z, rho) combinations per geometry (a map,
+    a z-sweep), each panel is reduced by its K21 and G10 weights as a
+    matrix product over (Z, rule) and (rho, column), from which each
+    geometry takes its (Z, rho) entry by flat offsets fixed once per run,
+    so that the rule sums come out panel by panel, the order in which the
+    quadrature sums them.
     Otherwise (scattered points) each geometry multiplies its own phase and
     Bessel terms, 21 nodes by 4 columns per panel, and the batch runs in
     blocks of at most ``_BLOCK`` geometries adjacent in Z, each with its
@@ -588,32 +651,38 @@ def halfspace_scatter_full(r, r_prime, omega, material, rtol=1e-9,
     (..., 3) the estimate has shape (...).
     """
     r, rp, _, _ = _heights(r, r_prime)
-    r, rp = np.broadcast_arrays(r, rp)
+    if r.shape != rp.shape:
+        r, rp = np.broadcast_arrays(r, rp)
     shape = r.shape[:-1]
-    atol = np.broadcast_to(np.asarray(atol, dtype=float), shape).ravel()
+    atol = np.asarray(atol, dtype=float)
+    if atol.shape != shape:
+        atol = np.broadcast_to(atol, shape)
+    atol = atol.ravel()
     r, rp = r.reshape(-1, 3), rp.reshape(-1, 3)
     z_sum = r[:, 2] + rp[:, 2]
-    dx, dy = r[:, 0] - rp[:, 0], r[:, 1] - rp[:, 1]
-    lateral = np.hypot(dx, dy)
-    phi0 = np.where(lateral > 0.0, np.arctan2(dy, dx), 0.0)
-    terms = _distinct_terms(z_sum, lateral)
-    if _shares_terms(terms):
-        blocks = [(slice(None), terms)]
-    else:
-        order = np.argsort(z_sum, kind="stable")
-        blocks = [(block, _distinct_terms(z_sum[block], lateral[block]))
-                  for block in np.array_split(order, -(-len(order) // _BLOCK))]
+    d = r - rp
+    lateral = np.hypot(d[:, 0], d[:, 1])
+    phi0 = np.where(lateral > 0.0, np.arctan2(d[:, 1], d[:, 0]), 0.0)
     k1 = omega / C
     t_b = _branch_edge(material, omega)
 
     def refl(k_par):
         return fresnel(material, k_par, omega)
 
-    comps = np.empty((len(z_sum), 4), dtype=complex)
-    err = np.empty(comps.shape)
-    for block, block_terms in blocks:
-        comps[block], err[block] = _sommerfeld_run(
-            block_terms, k1, refl, t_b, rtol, atol[block], max_panels)
+    def run(block_terms, block_atol):
+        return _sommerfeld_run(block_terms, k1, refl, t_b, rtol, block_atol,
+                               max_panels)
+
+    terms = _distinct_terms(z_sum, lateral)
+    if _shares_terms(terms):
+        comps, err = run(terms, atol)
+    else:
+        comps = np.empty((len(z_sum), 4), dtype=complex)
+        err = np.empty(comps.shape)
+        order = np.argsort(z_sum, kind="stable")
+        for block in np.array_split(order, -(-len(order) // _BLOCK)):
+            comps[block], err[block] = run(
+                _distinct_terms(z_sum[block], lateral[block]), atol[block])
     scale = np.maximum(np.abs(comps).max(axis=1), 1e-300)
     g = _assemble(comps, phi0).reshape(shape + (3, 3))
     rel = (err.max(axis=1) / scale).reshape(shape)

@@ -131,28 +131,34 @@ def adaptive_quad_vec(f, a, b, rtol=1e-9, atol=0.0, max_panels=4000):
     round fails to halve it while it lies below 50 eps sum|panel|. It is
     also raised, with a NaN ``estimate``, when the error estimate of an
     unconverged integral is not finite (the integrand is NaN or infinite).
+
+    Each round's bookkeeping runs on the unconverged integrals only, and a
+    run whose integrals all converge in its first round, as a lone
+    Sommerfeld tensor on its seeded panels does, returns that round's sums
+    as they are.
     """
-    lo, hi = np.broadcast_arrays(np.atleast_1d(np.asarray(a, dtype=float)),
-                                 np.atleast_1d(np.asarray(b, dtype=float)))
+    lo = np.array(a, dtype=float, ndmin=1)
+    hi = np.array(b, dtype=float, ndmin=1)
+    if lo.shape != hi.shape:
+        lo, hi = (edge.copy() for edge in np.broadcast_arrays(lo, hi))
     if lo.ndim != 1:
         raise ValueError("panel edges must be scalars or 1-D sequences")
-    if not np.all(hi > lo):
+    if not (hi > lo).all():
         raise ValueError("integration interval must have b > a")
-    lo, hi = lo.copy(), hi.copy()
     val, err = _panels(f, lo, hi)
     shape = val.shape[1:]
     # as (panel, integral, component)
     per_panel = (len(lo), shape[0] if len(shape) == 2 else 1, -1)
     val, err = val.reshape(per_panel), err.reshape(per_panel)
     n_int = val.shape[1]
-    atol = np.broadcast_to(np.asarray(atol, dtype=float), (n_int,))
+    atol = np.asarray(atol, dtype=float)
+    if atol.shape != (n_int,):
+        atol = np.broadcast_to(atol, (n_int,))
     budget = max_panels * min(n_int, _SHARED_BUDGETS)
-    # val, err, atol and prev hold the unconverged integrals only; rows maps
-    # each of them to its row of the output
-    rows = np.arange(n_int)
-    prev = np.full(n_int, np.inf)   # worst error of the previous round
-    out_val = np.empty(val.shape[1:], dtype=val.dtype)
-    out_err = np.empty(out_val.shape)
+    # val, err, atol and prev hold the unconverged integrals only. Until
+    # the first of them converges they are all of them, and rows is None;
+    # then rows maps each to its row of the output out_val, out_err.
+    rows = prev = None   # prev: worst error of the previous round
     while True:
         total, toterr = val.sum(axis=0), err.sum(axis=0)
         scale = np.abs(total).max(axis=1)
@@ -163,29 +169,46 @@ def adaptive_quad_vec(f, a, b, rtol=1e-9, atol=0.0, max_panels=4000):
                 "adaptive quadrature did not converge: non-finite integrand "
                 f"value among {len(lo)} panels", estimate=float("nan"))
         done = worst <= tol
-        # the reported estimate is no lower than the rounding level of the
-        # panel sum: panels that resolve an integrand well can bring
-        # |K21 - G10| below it
-        out_val[rows[done]] = total[done]
-        out_err[rows[done]] = np.maximum(
-            toterr[done], _NOISE * np.abs(val[:, done]).sum(axis=0))
-        if done.all():
-            return out_val.reshape(shape), out_err.reshape(shape)
-        if done.any():
-            live = ~done
-            rows, atol, prev = rows[live], atol[live], prev[live]
-            val, err = val[:, live], err[:, live]
+        n_done = np.count_nonzero(done)
+        if n_done:
+            # the reported estimate is no lower than the rounding level of
+            # the panel sum: panels that resolve an integrand well can
+            # bring |K21 - G10| below it
+            if rows is None and n_done == n_int:
+                floor = _NOISE * np.abs(val).sum(axis=0)
+                return (total.reshape(shape),
+                        np.maximum(toterr, floor).reshape(shape))
+            if rows is None:
+                rows = np.arange(n_int)
+                out_val = np.empty(val.shape[1:], dtype=val.dtype)
+                out_err = np.empty(out_val.shape)
+            conv = np.flatnonzero(done)
+            floor = _NOISE * np.abs(val.take(conv, axis=1)).sum(axis=0)
+            dest = rows[conv]
+            out_val[dest] = total[conv]
+            out_err[dest] = np.maximum(toterr[conv], floor)
+            if n_done == len(rows):
+                return out_val.reshape(shape), out_err.reshape(shape)
+            live = np.flatnonzero(~done)
+            rows, atol = rows[live], atol[live]
+            val, err = val.take(live, axis=1), err.take(live, axis=1)
             scale, tol, worst = scale[live], tol[live], worst[live]
-        stalled = worst > 0.5 * prev
-        if stalled.any():
-            noise = np.abs(val[:, stalled]).sum(axis=0).max(axis=1)
-            stalled[stalled] = worst[stalled] < _NOISE * noise
+            if prev is not None:
+                prev = prev[live]
+        why = None
+        if prev is not None:
+            stalled = worst > 0.5 * prev
+            if stalled.any():
+                noise = np.abs(val[:, stalled]).sum(axis=0).max(axis=1)
+                stalled[stalled] = worst[stalled] < _NOISE * noise
+                if stalled.any():
+                    k = int(np.argmax(stalled))
+                    why = "stopped falling at rounding level"
         room = budget - len(lo)
-        if stalled.any() or room <= 0:
-            k = int(np.argmax(stalled))
+        if why is None and room <= 0:
+            k, why = 0, "exhausted the panel budget"
+        if why is not None:
             rel = worst[k] / max(scale[k], 1e-300)
-            why = ("stopped falling at rounding level" if stalled[k]
-                   else "exhausted the panel budget")
             raise QuadratureError(
                 f"adaptive quadrature did not converge: error estimate "
                 f"{rel:.3e} (relative) {why} after {len(lo)} panels",
@@ -195,17 +218,16 @@ def adaptive_quad_vec(f, a, b, rtol=1e-9, atol=0.0, max_panels=4000):
         # per unconverged integral, its worst panels until their summed
         # error passes worst - tol/8; the round bisects their union
         key = err.max(axis=2)
-        desc = -np.sort(-key, axis=0)
+        desc = np.sort(key, axis=0)[::-1]
         covered = np.cumsum(desc, axis=0)
         n = (covered <= worst - tol / 8.0).sum(axis=0)
         pick = (key >= desc[np.minimum(n, len(lo) - 1), np.arange(key.shape[1])]
                 ).any(axis=1)
-        if pick.sum() > room:   # the worst relative to their tolerance first
+        idx = np.flatnonzero(pick)
+        if len(idx) > room:   # the worst relative to their tolerance first
             rank = np.where(pick, (key / np.maximum(tol, 1e-300)).max(axis=1),
                             -1.0)
-            pick[:] = False
-            pick[np.argsort(-rank, kind="stable")[:room]] = True
-        idx = np.flatnonzero(pick)
+            idx = np.sort(np.argsort(-rank, kind="stable")[:room])
         left, right = lo[idx], hi[idx]
         mid = 0.5 * (left + right)
         m = len(idx)
@@ -213,8 +235,11 @@ def adaptive_quad_vec(f, a, b, rtol=1e-9, atol=0.0, max_panels=4000):
         # unconverged ones are kept
         new_val, new_err = _panels(f, np.concatenate([left, mid]),
                                    np.concatenate([mid, right]))
-        new_val = new_val.reshape((2 * m, n_int, -1))[:, rows]
-        new_err = new_err.reshape((2 * m, n_int, -1))[:, rows]
+        new_val = new_val.reshape((2 * m, n_int, -1))
+        new_err = new_err.reshape((2 * m, n_int, -1))
+        if rows is not None:
+            new_val = new_val.take(rows, axis=1)
+            new_err = new_err.take(rows, axis=1)
         # the left half replaces its parent, the right half is appended
         hi[idx], val[idx], err[idx] = mid, new_val[:m], new_err[:m]
         lo, hi = np.concatenate([lo, mid]), np.concatenate([hi, right])

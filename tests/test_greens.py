@@ -319,6 +319,23 @@ class TestBatchedSommerfeld:
         nodes = TestBatchedSommerfeld.integrand_calls(monkeypatch)
         return lambda: sum(nodes) // 21
 
+    def test_fresnel_once_per_integrand_call(self, monkeypatch):
+        """Each integrand call takes r_s and r_p from one call of the module
+        global greens.fresnel, the name bench/tracing.py wraps to count
+        them: neither hoisted out of the integrand nor bypassed."""
+        calls = self.integrand_calls(monkeypatch)
+        real = greens.fresnel
+        fresnel_calls = []
+
+        def counting(*args, **kwargs):
+            fresnel_calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(greens, "fresnel", counting)
+        greens.halfspace_scatter_full(*self.map_legs(), OMEGA,
+                                      media.Constant(2.25))
+        assert len(calls) >= 1 and len(fresnel_calls) == len(calls)
+
     def test_batch_equals_single_geometry(self):
         """A batch shares one panel set; each tensor agrees with its lone
         evaluation within the tolerance, no longer bit for bit."""
@@ -464,8 +481,10 @@ class TestBatchedSommerfeld:
         dev = np.abs(g - ref).max() / np.abs(ref).max()
         assert 1e-15 < dev <= err
 
-    @pytest.mark.parametrize("t_max, t_b", [(3.0, 0.0), (3.85, 0.962),
-                                            (0.5, 0.962), (0.9620001, 0.962)])
+    # (t_max, t_b): unsplit, split, cut-off before t_b, cut-off just past it
+    CONTOURS = [(3.0, 0.0), (3.85, 0.962), (0.5, 0.962), (0.9620001, 0.962)]
+
+    @pytest.mark.parametrize("t_max, t_b", CONTOURS)
     def test_seeded_edges_keep_every_segment_edge(self, t_max, t_b):
         """Every edge of _contour_edges, joins and the branch-point edge
         t_b + u_c^2 included, is an edge of the seeded panels, bit for bit,
@@ -479,6 +498,125 @@ class TestBatchedSommerfeld:
         width = (seeded_hi - seeded_lo).reshape(len(lo), -1)
         assert np.allclose(width, ((hi - lo) / greens._SEED_PANELS)[:, None],
                            rtol=1e-12)
+
+    @pytest.mark.parametrize("t_max, t_b", CONTOURS)
+    def test_seeded_edges_equal_linspace(self, t_max, t_b):
+        """The seeded edges are those of np.linspace, bit for bit."""
+        lo, hi = greens._contour_edges(t_max, t_b)
+        grid = np.linspace(lo, hi, greens._SEED_PANELS + 1, axis=1)
+        seeded_lo, seeded_hi = greens._seeded_edges(lo, hi)
+        assert seeded_lo.tobytes() == grid[:, :-1].ravel().tobytes()
+        assert seeded_hi.tobytes() == grid[:, 1:].ravel().tobytes()
+
+    def test_lone_pair_in_either_shape(self):
+        """A point pair of shape (1, 3) gives the tensor and the estimate of
+        the same pair of shape (3,), bit for bit, and a lone geometry's
+        distinct Z and rho are those of np.unique."""
+        mat = media.Constant(2.25)
+        for r in (self.R_A, np.array([0.3, -0.2, 0.2]) * LAM):
+            g, err = greens.halfspace_scatter_full(r, self.R_D, OMEGA, mat)
+            g1, err1 = greens.halfspace_scatter_full(r[None], self.R_D[None],
+                                                     OMEGA, mat)
+            assert g1.shape == (1, 3, 3) and err1.shape == (1,)
+            assert g1[0].tobytes() == g.tobytes() and err1[0] == err
+        z_sum, lateral = np.array([0.3 * LAM]), np.array([0.36 * LAM])
+        terms = greens._distinct_terms(z_sum, lateral)
+        unique = (np.unique(z_sum, return_inverse=True)
+                  + np.unique(lateral, return_inverse=True))
+        for got, want in zip(terms, unique):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+class TestRewrittenSteps:
+    """Steps of the Sommerfeld evaluator written with fewer numpy calls
+    equal, bit for bit, the formulas they replaced, which are kept here as
+    the reference. Inputs include signed zeros and both signs, so that a
+    rewrite that rounds or signs a zero differently fails."""
+
+    @staticmethod
+    def complex_sample(rng, shape):
+        z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        z.real.flat[::7] = -0.0
+        z.imag.flat[3::11] = 0.0
+        return z
+
+    @staticmethod
+    def stacked_assemble(comps, phi0):
+        xx, yy, zz, xz = np.moveaxis(np.asarray(comps, dtype=complex), -1, 0)
+        zx = -xz
+        c, s = np.cos(phi0), np.sin(phi0)
+        cs = c * s * (xx - yy)
+        return np.stack([
+            np.stack([c * c * xx + s * s * yy, cs, c * xz], axis=-1),
+            np.stack([cs, s * s * xx + c * c * yy, s * xz], axis=-1),
+            np.stack([c * zx, s * zx, zz], axis=-1),
+        ], axis=-2)
+
+    def test_assemble_equals_stacked_formula(self):
+        rng = np.random.default_rng(3)
+        comps = self.complex_sample(rng, (6, 4))
+        for phi0 in (rng.uniform(-np.pi, np.pi, 6), np.zeros(6), 0.0, 2.5):
+            want = self.stacked_assemble(comps, phi0)
+            assert greens._assemble(comps, phi0).tobytes() == want.tobytes()
+        lone = greens._assemble(comps[0], 0.0)
+        assert lone.shape == (3, 3)
+        assert lone.tobytes() == self.stacked_assemble(comps[0], 0.0).tobytes()
+
+    def test_kernel_columns_and_components_equal_stacked_formulas(self):
+        rng = np.random.default_rng(4)
+        k1 = OMEGA / C
+        k_par = k1 * rng.uniform(0.0, 30.0, (5, 21, 1))
+        k_z = k1 * self.complex_sample(rng, (5, 21, 1))
+        r_s, r_p = (self.complex_sample(rng, (5, 21, 1)) for _ in range(2))
+        cols = greens._kernel_columns(k_par, k_z, k1, lambda _: (r_s, r_p))
+        c2 = r_p * (k_z / k1) ** 2
+        want = np.stack([r_s - c2, r_s + c2, 2.0 * r_p * (k_par / k1) ** 2,
+                         -2j * r_p * k_z * k_par / k1**2], axis=-1)
+        assert cols.tobytes() == want.tobytes()
+        a, b, c, d = np.moveaxis(want, -1, 0)
+        want = np.stack([a + b, a - b, c, d], axis=-1)
+        assert greens._components(cols).tobytes() == want.tobytes()
+
+    def test_bessel_columns_equal_stacked_formula(self):
+        """Off axis and on axis, where the Bessel factors are taken as
+        J0 = 1 and J1 = J2 = 0 without evaluating them."""
+        rng = np.random.default_rng(5)
+        k_par = OMEGA / C * rng.uniform(0.0, 30.0, (5, 21, 1))
+        kernel = self.complex_sample(rng, (5, 21, 1, 4))
+        for rho in (np.zeros(1), np.array([0.0, 0.3, 2.0]) * LAM):
+            b0, b1, b2 = greens._bessel_j012(k_par * rho)
+            want = np.stack([b0, b2, b0, b1], axis=-1) * kernel
+            got = greens._bessel_columns(kernel, k_par, rho)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @staticmethod
+    def where_contour_point(s, k1, t_b):
+        theta = s + (1.0 + 1.5 * np.pi)
+        prop = theta < 0.5 * np.pi
+        v, u = s + (1.0 + np.pi), s + 1.0
+        below = ~prop & (s < -1.0)
+        square = (s >= -1.0) & (s < 0.0)
+        t = np.where(below, t_b * np.sin(0.5 * v) ** 2,
+                     np.where(square, t_b + u * u, s))
+        dt = np.where(below, 0.5 * t_b * np.sin(v),
+                      np.where(square, 2.0 * u, 1.0))
+        k_par = np.where(prop, k1 * np.sin(theta), k1 * np.cosh(t))
+        k_z = np.where(prop, k1 * np.cos(theta), 1j * k1 * np.sinh(t))
+        return k_par, k_z, np.where(prop, k_par, -1j * k_par * dt)
+
+    @pytest.mark.parametrize("t_max, t_b", TestBatchedSommerfeld.CONTOURS)
+    def test_contour_point_equals_where_cascade(self, t_max, t_b):
+        """On the seeded panels of each contour, in order and shuffled."""
+        from mqret.quadrature import _XK
+
+        lo, hi = greens._seeded_edges(*greens._contour_edges(t_max, t_b))
+        s = ((0.5 * (lo + hi))[:, None] + 0.5 * (hi - lo)[:, None] * _XK)
+        k1 = OMEGA / C
+        shuffled = np.random.default_rng(6).permutation(s)
+        for nodes in (s.ravel(), shuffled.ravel()):
+            got = greens._contour_point(nodes, k1, t_b)
+            for g, w in zip(got, self.where_contour_point(nodes, k1, t_b)):
+                assert g.tobytes() == w.tobytes()
 
 
 class TestBranchPointContour:
