@@ -130,7 +130,11 @@ def _worker_count(text):
     return workers
 
 
-def build_parser():
+@functools.cache
+def _parser():
+    """The parser, built once per process: building it costs about a
+    millisecond, a sizeable share of a short sweep. Parsing leaves it
+    unchanged, so calls of :func:`main` do not see each other's options."""
     parser = argparse.ArgumentParser(
         prog="mqret",
         description="Environment-modified two- and three-body resonance "
@@ -199,14 +203,6 @@ def build_parser():
     p.set_defaults(func=_cmd_verify)
 
     return parser
-
-
-@functools.cache
-def _parser():
-    """The parser, built once per process: building it costs about a
-    millisecond, a sizeable share of a short sweep. Parsing leaves it
-    unchanged, so calls of :func:`main` do not see each other's options."""
-    return build_parser()
 
 
 def main(argv=None):

@@ -335,14 +335,13 @@ def _bessel_j012(x):
     :func:`_bessel_j01`, J2 from the recurrence 2 J1(x)/x - J0(x). Below
     x = 0.01, where the recurrence cancels to its last digits (and, for
     subnormal x, to 1e-11), J2 comes from its series x^2/8 (1 - x^2/12).
-    All-zero x (every on-axis tensor) gives J0 = 1 and J1 = J2 = 0 at
-    once."""
+    At x = 0 they are within 4e-16 of J0 = 1 and J1 = J2 = 0, not exact;
+    :func:`_bessel_columns` gives the exact on-axis factors without them."""
     x = np.asarray(x, dtype=float)
-    if not x.any():
-        return np.ones(x.shape), np.zeros(x.shape), np.zeros(x.shape)
     b0, b1 = _bessel_j01(x)
     small = x < 1e-2
-    b2 = 2.0 * b1 / np.where(small, 1.0, x) - b0
+    # an array even for a 0-d x, where the arithmetic gives a numpy scalar
+    b2 = np.asarray(2.0 * b1 / np.where(small, 1.0, x) - b0)
     if small.any():
         x2 = x[small] ** 2
         b2[small] = 0.125 * x2 * (1.0 - x2 / 12.0)
@@ -370,8 +369,7 @@ def _bessel_columns(kernel, k_par, rho):
     """The columns of :func:`_kernel_columns`, shape (..., 1, 4), times
     J0, J2, J0 and J1 of k_par rho for each lateral offset rho: shape
     (..., len(rho), 4). When every rho is 0 (on axis) the factors are
-    J0 = 1 and J1 = J2 = 0, the values :func:`_bessel_j012` returns there,
-    and are not evaluated."""
+    J0 = 1 and J1 = J2 = 0 exactly, and are not evaluated."""
     if not rho.any():
         return kernel * np.array([1.0, 0.0, 1.0, 0.0])
     b0, b1, b2 = _bessel_j012(k_par * rho)
@@ -546,11 +544,12 @@ def _sommerfeld_run(terms, k1, refl, t_b, rtol, atol, max_panels):
     big_z, z_of, rho, rho_of = terms
     n_rho, n_geo = len(rho), len(z_of)
     product = _shares_terms(terms)
-    if product and n_geo > 1:
+    if product:
         # each geometry's entry (rule, geometry, column) in a panel's
         # product (Z, rule, rho, column), as flat offsets
-        entry = ((2 * z_of + np.arange(2)[:, None]) * n_rho
-                 + rho_of)[..., None] * 4 + np.arange(4)
+        entry = np.ravel_multi_index(
+            (z_of[:, None], np.arange(2)[:, None, None], rho_of[:, None],
+             np.arange(4)), (len(big_z), 2, n_rho, 4))
     edges = _seeded_edges(*_contour_edges(
         float(np.arcsinh(_EVANESCENT_DECADES / (k1 * big_z[0]))), t_b))
     n_node = RULES.shape[1]
@@ -574,10 +573,7 @@ def _sommerfeld_run(terms, k1, refl, t_b, rtol, atol, max_panels):
                         out=rows)
             prod = (rows.reshape(n_pan, -1, n_node)
                     @ cols.reshape(n_pan, n_node, -1))
-            if n_geo == 1:
-                sums = prod.reshape(n_pan, 2, 1, 4)
-            else:
-                sums = np.take(prod.reshape(n_pan, -1), entry, axis=1)
+            sums = np.take(prod.reshape(n_pan, -1), entry, axis=1)
         else:
             pair = (np.take(phase, z_of, axis=2)[..., None]
                     * np.take(cols, rho_of, axis=2))
@@ -691,6 +687,14 @@ def halfspace_scatter_full(r, r_prime, omega, material, rtol=1e-9,
 
 # --- total tensor assembly ---------------------------------------------------
 
+def is_sommerfeld(env, method):
+    """Whether :func:`green_scatter` evaluates the scattering tensor of
+    ``method`` in ``env`` as a Sommerfeld integral, the only one with a
+    quadrature error; the others are closed forms."""
+    return (method == "exact" and isinstance(env, HalfSpace)
+            and not isinstance(env.material, PerfectReflector))
+
+
 def green_scatter(env, r, r_prime, omega, method="exact", rtol=1e-9,
                   atol=0.0):
     """Scattering part of the Green's tensor for an environment.
@@ -700,6 +704,9 @@ def green_scatter(env, r, r_prime, omega, method="exact", rtol=1e-9,
     tolerances of a Sommerfeld evaluation (see
     :func:`halfspace_scatter_full`); the closed forms ignore them.
     """
+    if is_sommerfeld(env, method):
+        return halfspace_scatter_full(r, r_prime, omega, env.material,
+                                      rtol=rtol, atol=atol)
     if method not in ("exact", "nr", "r"):
         raise ValueError(f"unknown method {method!r}")
     if isinstance(env, Vacuum):
@@ -710,10 +717,7 @@ def green_scatter(env, r, r_prime, omega, method="exact", rtol=1e-9,
     if method != "exact":
         fn = halfspace_scatter_nr if method == "nr" else halfspace_scatter_r
         return fn(r, r_prime, omega, env), 0.0
-    if isinstance(env.material, PerfectReflector):
-        return mirror_scatter_exact(r, r_prime, omega), 0.0
-    return halfspace_scatter_full(r, r_prime, omega, env.material, rtol=rtol,
-                                  atol=atol)
+    return mirror_scatter_exact(r, r_prime, omega), 0.0
 
 
 def green_bulk(r, r_prime, omega, method="exact", include_phase=True):

@@ -7,7 +7,6 @@ r_p(k_par -> 0) = -r_retarded(eps) and r_s(k_par -> 0) = +r_retarded(eps).
 """
 
 from dataclasses import dataclass
-from numbers import Number
 
 import numpy as np
 
@@ -42,10 +41,8 @@ class PerfectReflector:
 
 
 def permittivity(model, omega):
-    """Complex relative permittivity of a material model at frequency omega.
-
-    A bare number is taken as a frequency-independent permittivity.
-    """
+    """Complex relative permittivity of a material model at frequency
+    omega."""
     if isinstance(model, PerfectReflector):
         raise SymbolicMaterialError(
             "perfect reflector is symbolic; no numeric permittivity"
@@ -56,8 +53,6 @@ def permittivity(model, omega):
         return 1.0 + model.omega_p**2 / (
             model.omega_0**2 - omega**2 - 1j * model.gamma * omega
         )
-    if isinstance(model, Number):
-        return complex(model)
     raise TypeError(f"unknown permittivity model {model!r}")
 
 
@@ -84,8 +79,8 @@ def r_retarded(eps):
 def fresnel(material, k_par, omega):
     """s- and p-polarized reflection coefficients of the half-space.
 
-    ``material`` may be a permittivity model or a complex eps. Accepts scalar
-    or array k_par (1/m); returns (r_s, r_p) of matching shape.
+    ``material`` is a permittivity model. Accepts scalar or array k_par
+    (1/m); returns (r_s, r_p) of matching shape.
     """
     if isinstance(material, PerfectReflector):
         shape = np.shape(k_par)

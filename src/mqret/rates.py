@@ -33,8 +33,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import C, HBAR, MU0, EPS0, TINY, GeometryError, wavelength
-from .greens import HalfSpace, green_bulk, green_scatter, limit_reflection
-from .media import PerfectReflector, polarizability
+from .greens import (HalfSpace, green_bulk, green_scatter, is_sommerfeld,
+                     limit_reflection)
+from .media import polarizability
 
 MIN_SEPARATION_WAVELENGTHS = 1e-4
 
@@ -66,11 +67,6 @@ class RateResult:
 
 def _check_positions(env, positions, omega):
     """The dipole-approximation and surface guards of a rate's bodies."""
-    _check_geometry(positions, omega)
-    _check_heights(env, positions)
-
-
-def _check_geometry(positions, omega):
     lam = wavelength(omega)
     pos = [np.asarray(p, dtype=float) for p in positions]
     for i in range(len(pos)):
@@ -81,20 +77,10 @@ def _check_geometry(positions, omega):
                     "pairwise separation below the dipole-approximation guard "
                     f"({MIN_SEPARATION_WAVELENGTHS} wavelengths)"
                 )
-
-
-def _check_heights(env, positions):
     if isinstance(env, HalfSpace):
         for p in positions:
             if np.any(np.asarray(p)[..., 2] <= 0.0):
                 raise GeometryError("all bodies must satisfy z > 0 near a surface")
-
-
-def _sommerfeld_legs(env, method):
-    """Whether the tensors of ``method`` in ``env`` are Sommerfeld integrals,
-    the only ones with a quadrature error; the others are closed forms."""
-    return (method == "exact" and isinstance(env, HalfSpace)
-            and not isinstance(env.material, PerfectReflector))
 
 
 def _green(env, r, r_prime, omega, method, rtol, bulk, atol):
@@ -209,7 +195,7 @@ def _coupling(env, r_a, r_d, omega, mediator=None, method="exact", rtol=1e-9):
     n = len(r_m)
     scale = MU0 * omega**2 * alpha
     atol = 0.0
-    if _sommerfeld_legs(env, legs):
+    if is_sommerfeld(env, legs):
         atol = _leg_tolerances(g_ad, g0[:n], g0[n:], scale, rtol)
     g, e = _green(env, *ends, omega, legs, rtol, g0, atol)
     e = np.broadcast_to(e, g.shape[:1])

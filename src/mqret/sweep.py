@@ -231,16 +231,8 @@ def emit(records, fmt, path, metadata=None):
         except OSError as exc:
             raise OSError(f"cannot write '{path}': {exc}") from exc
     elif fmt == "json":
-        rows = [
-            {
-                "x_m": rec.x_m, "z_m": rec.z_m, "gamma": rec.gamma,
-                "gamma_normalized": rec.gamma_normalized,
-                "method": rec.method, "error_estimate": rec.error_estimate,
-                "flag": rec.flag,
-            }
-            for rec in records
-        ]
-        doc = {"metadata": metadata or {}, "records": rows}
+        doc = {"metadata": metadata or {},
+               "records": [vars(rec) for rec in records]}
         try:
             with open(path, "w") as fh:
                 json.dump(doc, fh, indent=1)

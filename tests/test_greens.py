@@ -254,15 +254,53 @@ class TestBesselKernel:
 
     @pytest.mark.parametrize("shape", [(), (1,), (7,), (2, 3, 4), (0,)])
     def test_shape_of_input(self, shape):
+        """Each result is an array of the shape of x. A 0-d x, at 0, below
+        and above x = 0.01 where J2 leaves its series, gives the values of
+        the same x in a 1-element array."""
         x = np.random.default_rng(5).uniform(0.0, 20.0, shape)
         for j in greens._bessel_j012(x):
-            assert j.shape == shape
+            assert type(j) is np.ndarray and j.shape == shape
+        if shape == ():
+            for value in (0.0, 0.005, 0.5):
+                lone = greens._bessel_j012(np.array([value]))
+                for j, want in zip(greens._bessel_j012(np.array(value)),
+                                   lone):
+                    assert type(j) is np.ndarray and j.shape == ()
+                    assert j.tobytes() == want.tobytes()
 
     def test_zero_arguments(self):
-        """rho = 0, as on axis: J0 = 1 and J1 = J2 = 0 exactly."""
-        b0, b1, b2 = greens._bessel_j012(np.zeros((16, 21, 1)))
-        assert b0.shape == (16, 21, 1)
-        assert np.all(b0 == 1.0) and not b1.any() and not b2.any()
+        """rho = 0, as on axis: the columns take J0 = 1 and J1 = J2 = 0
+        exactly."""
+        rng = np.random.default_rng(6)
+        k_par = OMEGA / C * rng.uniform(0.0, 30.0, (16, 21, 1))
+        kernel = (rng.standard_normal((16, 21, 1, 4))
+                  + 1j * rng.standard_normal((16, 21, 1, 4)))
+        cols = greens._bessel_columns(kernel, k_par, np.zeros(1))
+        assert cols.shape == (16, 21, 1, 4)
+        assert np.array_equal(cols[..., ::2], kernel[..., ::2])
+        assert not cols[..., 1::2].any()
+
+    def test_on_axis_runs_evaluate_no_bessel_function(self, monkeypatch):
+        """A lone on-axis G_AD and a batch of on-axis geometries at several
+        heights never reach the J0/J1 kernel, and give the tensors that they
+        give when it is there to call."""
+        mat = media.Constant(2.25)
+        z = np.array([0.04, 0.3, 1.1, 2.0])[:, None]
+        pairs = [(np.array([0.0, 0.0, 0.08]) * LAM,
+                  np.array([0.0, 0.0, 0.04]) * LAM),
+                 (np.hstack([np.zeros((4, 2)), z]) * LAM,
+                  np.tile([0.0, 0.0, 0.07], (4, 1)) * LAM)]
+        want = [greens.halfspace_scatter_full(r, rp, OMEGA, mat)
+                for r, rp in pairs]
+
+        def no_kernel(x):
+            raise AssertionError("the Bessel kernel was called on axis")
+
+        monkeypatch.setattr(greens, "_bessel_j01", no_kernel)
+        for (r, rp), (g, err) in zip(pairs, want):
+            got, got_err = greens.halfspace_scatter_full(r, rp, OMEGA, mat)
+            assert got.tobytes() == g.tobytes()
+            assert np.array_equal(got_err, err)
 
 
 def lone_reference(r, rp, mat):
@@ -710,6 +748,33 @@ class TestBranchPointContour:
 
 
 class TestDispatch:
+    ENVIRONMENTS = {
+        "vacuum": greens.Vacuum(),
+        "mirror": greens.PerfectMirror(),
+        "dielectric": greens.HalfSpace(media.Constant(2.25)),
+        "drude": greens.HalfSpace(media.DrudeLorentz(4.7e15, 0.0, 3.7e14)),
+    }
+
+    @pytest.mark.parametrize("method", ["exact", "nr", "r"])
+    @pytest.mark.parametrize("name", list(ENVIRONMENTS))
+    def test_sommerfeld_predicate_matches_dispatch(self, monkeypatch, name,
+                                                   method):
+        """is_sommerfeld holds exactly when green_scatter integrates the
+        tensor with halfspace_scatter_full."""
+        env = self.ENVIRONMENTS[name]
+        real = greens.halfspace_scatter_full
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(greens, "halfspace_scatter_full", counting)
+        greens.green_scatter(env, np.array([0.0, 0.0, 0.08]) * LAM,
+                             np.array([0.0, 0.0, 0.04]) * LAM, OMEGA,
+                             method=method)
+        assert len(calls) == int(greens.is_sommerfeld(env, method))
+
     def test_green_total_vacuum_is_bulk(self):
         r1 = np.array([0.0, 0.0, 0.6]) * LAM
         r2 = np.array([0.0, 0.2, 0.1]) * LAM

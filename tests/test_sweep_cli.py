@@ -489,13 +489,32 @@ class TestSweep:
         assert back == recs
 
     def test_json_emit(self, tmp_path):
+        """The file holds the bytes of a json.dump of each record written
+        out field by field, an error row with NaNs among them."""
         cfg = config.load_config(write_config(tmp_path))
         recs = sweep.sweep_1d(cfg, sweep.OneDSweep(1.5, 2.5, 3))
+        recs.append(sweep._error_record((0.5, 1.0, "clip"), "exact",
+                                        QuadratureError("no convergence")))
         path = tmp_path / "out.json"
         sweep.emit(recs, "json", str(path), metadata={"note": "x"})
         doc = json.loads(path.read_text())
         assert doc["metadata"] == {"note": "x"}
-        assert len(doc["records"]) == 3
+        assert len(doc["records"]) == 4
+        rows = [
+            {
+                "x_m": rec.x_m, "z_m": rec.z_m, "gamma": rec.gamma,
+                "gamma_normalized": rec.gamma_normalized,
+                "method": rec.method, "error_estimate": rec.error_estimate,
+                "flag": rec.flag,
+            }
+            for rec in recs
+        ]
+        ref = tmp_path / "ref.json"
+        with open(ref, "w") as fh:
+            json.dump({"metadata": {"note": "x"}, "records": rows}, fh,
+                      indent=1)
+            fh.write("\n")
+        assert path.read_bytes() == ref.read_bytes()
 
     def test_csv_bytes_match_csv_writer(self, tmp_path):
         """emit writes the rows csv.writer writes, for the float values a
