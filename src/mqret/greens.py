@@ -348,14 +348,14 @@ def _bessel_j012(x):
     return b0, b1, b2
 
 
-def _kernel_columns(k_par, k_z, k1, refl):
+def _kernel_columns(k_par, k_z, k1, r_s, r_p):
     """The phi-integrated integrand, apart from its weight and e^{i k_z Z},
     as four columns (c1 - c2, c1 + c2, c3, c4) along a new last axis, which
     multiply J0, J2, J0 and J1 of k_par rho: c1 = r_s, c2 = r_p (k_z/k1)^2,
-    c3 = 2 r_p (k_par/k1)^2, c4 = -2i r_p k_z k_par / k1^2. Weighted by
-    their Bessel functions and summed over the nodes, they are the columns
-    that :func:`_components` turns into the components."""
-    r_s, r_p = refl(k_par)
+    c3 = 2 r_p (k_par/k1)^2, c4 = -2i r_p k_z k_par / k1^2, with r_s and r_p
+    the Fresnel coefficients at the same (k_par, k_z). Weighted by their
+    Bessel functions and summed over the nodes, they are the columns that
+    :func:`_components` turns into the components."""
     c2 = r_p * (k_z / k1) ** 2
     cols = np.empty(c2.shape + (4,), dtype=complex)
     np.subtract(r_s, c2, out=cols[..., 0])
@@ -529,20 +529,22 @@ def _seeded_edges(lo, hi):
     return grid[:, :-1].ravel(), grid[:, 1:].ravel()
 
 
-def _sommerfeld_run(terms, k1, refl, t_b, rtol, atol, max_panels):
+def _sommerfeld_run(terms, material, omega, t_b, rtol, atol, max_panels):
     """Components (xx, yy, zz, xz) of the geometries of one shared
     adaptive run, shape (n, 4), and their error estimates.
 
     ``terms`` are the batch's distinct heights and lateral offsets from
     :func:`_distinct_terms`; ``atol`` holds each geometry's absolute
-    tolerance. The run starts from the segments of
-    :func:`_contour_edges` for the lowest Z, each cut into
-    ``_SEED_PANELS`` equal panels."""
+    tolerance. Each integrand call takes r_s and r_p from one call of
+    :func:`mqret.media.fresnel` at the contour's own (k_par, k_z). The run
+    starts from the segments of :func:`_contour_edges` for the lowest Z,
+    each cut into ``_SEED_PANELS`` equal panels."""
     # imported per call: bench/tracing.py wraps quadrature.adaptive_quad_vec
     from .quadrature import RULES, adaptive_quad_vec
 
     big_z, z_of, rho, rho_of = terms
     n_rho, n_geo = len(rho), len(z_of)
+    k1 = omega / C
     product = _shares_terms(terms)
     if product:
         # each geometry's entry (rule, geometry, column) in a panel's
@@ -562,8 +564,9 @@ def _sommerfeld_run(terms, k1, refl, t_b, rtol, atol, max_panels):
         # phase (panel, node, Z)
         phase = np.exp(1j * k_z * big_z) * (np.pi * pref * jac)
         # (panel, node, rho, column)
-        cols = _bessel_columns(_kernel_columns(k_par, k_z, k1, refl), k_par,
-                               rho)
+        r_s, r_p = fresnel(material, k_par, k_z, omega)
+        cols = _bessel_columns(_kernel_columns(k_par, k_z, k1, r_s, r_p),
+                               k_par, rho)
         if product:
             # per panel (Z, rule) x (rho, column), then each geometry's
             # entry (panel, rule, geometry, column): the one array as large
@@ -602,7 +605,9 @@ def halfspace_scatter_full(r, r_prime, omega, material, rtol=1e-9,
     geometrically instead of algebraically (see :func:`_contour_edges`).
     Metals (Re sqrt(eps) <= 1) and the perfect reflector keep the two plain
     segments. r_s and r_p are :func:`mqret.media.fresnel` of the material as
-    given: for a lossless eps its square roots take the passive +i0 branch.
+    given, at each node's own k_par and k_z = k cos(theta) or i k sinh(t),
+    so that the contour alone picks the branch of k_z; k_z2 takes the
+    Im >= 0 branch, for a lossless eps the passive +i0 one.
     All segments are integrated in one adaptive call over the abscissa s,
     with a panel boundary where two segments join. Each segment
     starts as ``_SEED_PANELS`` = 4 equal panels, the mesh that the first
@@ -659,15 +664,11 @@ def halfspace_scatter_full(r, r_prime, omega, material, rtol=1e-9,
     d = r - rp
     lateral = np.hypot(d[:, 0], d[:, 1])
     phi0 = np.where(lateral > 0.0, np.arctan2(d[:, 1], d[:, 0]), 0.0)
-    k1 = omega / C
     t_b = _branch_edge(material, omega)
 
-    def refl(k_par):
-        return fresnel(material, k_par, omega)
-
     def run(block_terms, block_atol):
-        return _sommerfeld_run(block_terms, k1, refl, t_b, rtol, block_atol,
-                               max_panels)
+        return _sommerfeld_run(block_terms, material, omega, t_b, rtol,
+                               block_atol, max_panels)
 
     terms = _distinct_terms(z_sum, lateral)
     if _shares_terms(terms):

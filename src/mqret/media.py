@@ -1,9 +1,9 @@
 """Material response: permittivity models, interface reflection coefficients
 and the mediator polarizability.
 
-Sign conventions: the principal square root with Im >= 0 is used everywhere
-(decaying evanescent waves), and the Fresnel coefficients are fixed so that
-r_p(k_par -> 0) = -r_retarded(eps) and r_s(k_par -> 0) = +r_retarded(eps).
+Sign conventions: the roots taken here use the Im >= 0 branch (decaying
+evanescent waves); the vacuum k_z is the caller's. r_p(k_par -> 0) =
+-r_retarded(eps) and r_s(k_par -> 0) = +r_retarded(eps).
 """
 
 from dataclasses import dataclass
@@ -76,22 +76,26 @@ def r_retarded(eps):
     return (1.0 - s) / (1.0 + s)
 
 
-def fresnel(material, k_par, omega):
-    """s- and p-polarized reflection coefficients of the half-space.
-
-    ``material`` is a permittivity model. Accepts scalar or array k_par
-    (1/m); returns (r_s, r_p) of matching shape.
+def fresnel(material, k_par, k_z, omega):
+    """s- and p-polarized reflection coefficients of the half-space at the
+    vacuum k_par and k_z (1/m) of the caller's contour, complex allowed,
+    k_z^2 = k1^2 - k_par^2. Only k_z2 = sqrt(eps k1^2 - k_par^2) is taken
+    here, from that difference (k_z^2 + (eps - 1) k1^2 cancels near the
+    branch point when |eps| << 1). r_s = (1 - eps) k1^2 / (k_z + k_z2)^2
+    and r_p = (eps - 1)(eps k1^2 - (eps + 1) k_par^2) / (eps k_z + k_z2)^2,
+    the difference forms factored, vanish exactly at eps = 1. Returns
+    (r_s, r_p), broadcast over k_par and k_z.
     """
     if isinstance(material, PerfectReflector):
-        shape = np.shape(k_par)
+        shape = np.broadcast_shapes(np.shape(k_par), np.shape(k_z))
         return (np.full(shape, -1.0 + 0j), np.full(shape, 1.0 + 0j))
     eps = permittivity(material, omega)
-    k_par = np.asarray(k_par, dtype=float)
     k1sq = (omega / C) ** 2
-    kz1 = sqrt_im_pos(k1sq - k_par**2)
-    kz2 = sqrt_im_pos(eps * k1sq - k_par**2)
-    r_s = (kz1 - kz2) / (kz1 + kz2)
-    r_p = (eps * kz1 - kz2) / (eps * kz1 + kz2)
+    k_par_sq = k_par * k_par
+    kz2 = sqrt_im_pos(eps * k1sq - k_par_sq)
+    r_s = (1.0 - eps) * k1sq / (k_z + kz2) ** 2
+    r_p = (eps - 1.0) * (eps * k1sq - (eps + 1.0) * k_par_sq) / (
+        eps * k_z + kz2) ** 2
     return r_s, r_p
 
 

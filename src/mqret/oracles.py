@@ -151,22 +151,6 @@ def contour_identity_check(rho, omega_d, which="plus", include_pole=True):
 
 # --- quad_vec Sommerfeld reference ------------------------------------------
 
-def _angular_components(k_par, k_z, k1, big_z, lateral, refl, weight=1.0):
-    """phi-integrated integrand components in the frame with the lateral
-    separation along +x.
-
-    Returns shape (n, 4): (xx, yy, zz, xz) including the e^{i k_z Z}
-    propagation factor and a per-node ``weight`` (the contour jacobian, if
-    the caller wants it in). J0, J1 and J2 come from ``scipy.special.jv``,
-    so that the reference shares no Bessel code with the evaluator's
-    :func:`mqret.greens._bessel_j012`.
-    """
-    b0, b1, b2 = jv(np.array([0, 1, 2])[:, None], k_par * lateral)
-    w = np.pi * weight * np.exp(1j * k_z * big_z)
-    cols = _kernel_columns(k_par, k_z, k1, refl)
-    return _components(w[..., None] * cols * np.stack([b0, b2, b0, b1], axis=-1))
-
-
 def _kpar_pieces(big_z, lateral, omega, material):
     """The Sommerfeld integral in q = k_par / k1 as pieces ``(f, width)``
     whose integrals over w in [0, width] sum to the components (xx, yy, zz,
@@ -198,11 +182,16 @@ def _kpar_pieces(big_z, lateral, omega, material):
         else:
             zeta = sqrt_im_pos((1.0 - q) * (1.0 + q))
             jac = 2.0 * w * q / zeta
-        # k_z = k1 zeta; k1 jac = (k_par / k_z) dk_par / dw
-        comps = _angular_components(
-            np.array([k1 * q]), k1 * np.atleast_1d(zeta), k1, big_z, lateral,
-            lambda k_par: fresnel(material, k_par, omega), k1 * jac)
-        return 1j / (8.0 * np.pi**2) * comps[0]
+        # k_z = k1 zeta, on this contour's own branch; k1 jac = (k_par /
+        # k_z) dk_par / dw. J0, J1 and J2 come from scipy.special.jv, so
+        # that the reference shares no Bessel code with the evaluator.
+        k_par, k_z = k1 * q, k1 * zeta
+        cols = _kernel_columns(k_par, k_z, k1,
+                               *fresnel(material, k_par, k_z, omega))
+        b0, b1, b2 = jv([0, 1, 2], k_par * lateral)
+        weight = np.pi * k1 * jac * np.exp(1j * k_z * big_z)
+        return 1j / (8.0 * np.pi**2) * _components(
+            weight * cols * np.array([b0, b2, b0, b1]))
 
     pieces = []
     for lo, hi in zip(edges, edges[1:]):
@@ -218,7 +207,8 @@ def sommerfeld_reference(r, r_prime, omega, material):
     lossy metals and the perfect reflector. It shares no quadrature rule
     (15-point Gauss-Kronrod, not 21) and no contour with the adaptive
     evaluator; r_s and r_p come from :func:`mqret.media.fresnel`, as the
-    evaluator's do, at the permittivity given. Each piece runs to a relative
+    evaluator's do, at the permittivity given and at the k_z of the
+    reference's own contour in q. Each piece runs to a relative
     tolerance of 1e-10 in the max norm. Returns ``(tensor, relative error
     estimate)``, the pieces' summed estimates over the largest component.
     """

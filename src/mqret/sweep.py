@@ -13,6 +13,7 @@ formatting, so a sweep always emits the same bytes.
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -204,9 +205,10 @@ def emit(records, fmt, path, metadata=None):
     """Write sweep records as CSV or JSON.
 
     CSV floats use round-trippable shortest-repr formatting; metadata (e.g.
-    donor/acceptor positions) is emitted as '#' comment lines. The CSV rows
-    are the bytes ``csv.writer`` writes, which quotes no field as long as
-    none holds a comma, a double quote or a line break: a method or flag
+    donor/acceptor positions) is emitted as '#' comment lines. JSON has no
+    NaN (RFC 8259): the NaNs of a failed row are written as null. The CSV
+    rows are the bytes ``csv.writer`` writes, which quotes no field as long
+    as none holds a comma, a double quote or a line break: a method or flag
     that does raises ``ValueError`` before the file is opened.
     """
     if not records:
@@ -231,8 +233,9 @@ def emit(records, fmt, path, metadata=None):
         except OSError as exc:
             raise OSError(f"cannot write '{path}': {exc}") from exc
     elif fmt == "json":
-        doc = {"metadata": metadata or {},
-               "records": [vars(rec) for rec in records]}
+        rows = [{key: None if isinstance(v, float) and not math.isfinite(v)
+                 else v for key, v in vars(rec).items()} for rec in records]
+        doc = {"metadata": metadata or {}, "records": rows}
         try:
             with open(path, "w") as fh:
                 json.dump(doc, fh, indent=1)

@@ -606,7 +606,7 @@ class TestRewrittenSteps:
         k_par = k1 * rng.uniform(0.0, 30.0, (5, 21, 1))
         k_z = k1 * self.complex_sample(rng, (5, 21, 1))
         r_s, r_p = (self.complex_sample(rng, (5, 21, 1)) for _ in range(2))
-        cols = greens._kernel_columns(k_par, k_z, k1, lambda _: (r_s, r_p))
+        cols = greens._kernel_columns(k_par, k_z, k1, r_s, r_p)
         c2 = r_p * (k_z / k1) ** 2
         want = np.stack([r_s - c2, r_s + c2, 2.0 * r_p * (k_par / k1) ** 2,
                          -2j * r_p * k_z * k_par / k1**2], axis=-1)
@@ -616,16 +616,21 @@ class TestRewrittenSteps:
         assert greens._components(cols).tobytes() == want.tobytes()
 
     def test_bessel_columns_equal_stacked_formula(self):
-        """Off axis and on axis, where the Bessel factors are taken as
-        J0 = 1 and J1 = J2 = 0 without evaluating them."""
+        """Off axis, and on axis, where the Bessel factors are J0 = 1 and
+        J1 = J2 = 0 exactly, without evaluating them: the reference there is
+        the kernel times (1, 0, 1, 0), not the kernel functions at 0, which
+        are 1 only to their last bit."""
         rng = np.random.default_rng(5)
         k_par = OMEGA / C * rng.uniform(0.0, 30.0, (5, 21, 1))
         kernel = self.complex_sample(rng, (5, 21, 1, 4))
-        for rho in (np.zeros(1), np.array([0.0, 0.3, 2.0]) * LAM):
-            b0, b1, b2 = greens._bessel_j012(k_par * rho)
-            want = np.stack([b0, b2, b0, b1], axis=-1) * kernel
-            got = greens._bessel_columns(kernel, k_par, rho)
-            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        got = greens._bessel_columns(kernel, k_par, np.zeros(1))
+        want = kernel * np.array([1.0, 0.0, 1.0, 0.0])
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        rho = np.array([0.0, 0.3, 2.0]) * LAM
+        b0, b1, b2 = greens._bessel_j012(k_par * rho)
+        want = np.stack([b0, b2, b0, b1], axis=-1) * kernel
+        got = greens._bessel_columns(kernel, k_par, rho)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     @staticmethod
     def where_contour_point(s, k1, t_b):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -45,13 +47,16 @@ class TestReflection:
     def test_fresnel_normal_incidence(self):
         """At k_par = 0 the two polarizations coincide up to sign convention."""
         eps = 11.68 + 0j
-        r_s, r_p = media.fresnel(media.Constant(eps), 0.0, 1e15)
+        omega = 1e15
+        r_s, r_p = media.fresnel(media.Constant(eps), 0.0, omega / C, omega)
         r0 = media.r_retarded(eps)
         assert complex(r_s) == pytest.approx(r0, rel=1e-12)
         assert complex(r_p) == pytest.approx(-r0, rel=1e-12)
 
     def test_fresnel_perfect_reflector(self):
-        r_s, r_p = media.fresnel(media.PerfectReflector(), np.array([0.0, 1e6, 1e8]), 1e15)
+        k_par = np.array([0.0, 1e6, 1e8])
+        k_z = media.sqrt_im_pos((1e15 / C) ** 2 - k_par**2)
+        r_s, r_p = media.fresnel(media.PerfectReflector(), k_par, k_z, 1e15)
         assert np.all(r_s == -1.0)
         assert np.all(r_p == 1.0)
 
@@ -61,18 +66,74 @@ class TestReflection:
         k1 = omega / C
         eps = 2.0
         k_par = 1.2 * k1  # k1 < k_par < sqrt(eps) k1
-        r_s, r_p = media.fresnel(media.Constant(eps), k_par, omega)
+        k_z = 1j * k1 * np.sqrt(1.2**2 - 1.0)
+        r_s, r_p = media.fresnel(media.Constant(eps), k_par, k_z, omega)
         assert abs(r_s) == pytest.approx(1.0, rel=1e-9)
         assert abs(r_p) == pytest.approx(1.0, rel=1e-9)
 
     def test_fresnel_vectorized_matches_scalar(self):
         omega = 2e15
         ks = np.linspace(0.0, 3 * omega / C, 7)
-        r_s, r_p = media.fresnel(media.Constant(2.25), ks, omega)
-        for i, k in enumerate(ks):
-            a, b = media.fresnel(media.Constant(2.25), float(k), omega)
+        kzs = media.sqrt_im_pos((omega / C) ** 2 - ks**2)
+        r_s, r_p = media.fresnel(media.Constant(2.25), ks, kzs, omega)
+        for i, (k, k_z) in enumerate(zip(ks, kzs)):
+            a, b = media.fresnel(media.Constant(2.25), float(k),
+                                 complex(k_z), omega)
             assert complex(a) == complex(r_s[i])
             assert complex(b) == complex(r_p[i])
+
+    def test_fresnel_needs_k_z(self):
+        """A call without the caller's k_z fails instead of choosing one."""
+        with pytest.raises(TypeError):
+            media.fresnel(media.Constant(2.25), 0.5e7, 1e15)
+
+    def test_fresnel_brewster(self):
+        """At k_par = k1 sqrt(eps / (eps + 1)) r_p vanishes and r_s does
+        not, which tells r_s from -r_p, equal at normal incidence."""
+        omega, eps = 1e15, 2.25
+        k1 = omega / C
+        k_par = k1 * np.sqrt(eps / (eps + 1.0))
+        k_z = k1 / np.sqrt(eps + 1.0)
+        r_s, r_p = media.fresnel(media.Constant(eps), k_par, k_z, omega)
+        kz2 = k1 * np.sqrt(eps - eps / (eps + 1.0))
+        assert abs(r_p) < 1e-14
+        assert complex(r_s) == pytest.approx((k_z - kz2) / (k_z + kz2),
+                                             rel=1e-12)
+        assert abs(r_s) > 0.3
+
+    @pytest.mark.parametrize("material", [
+        media.Constant(2.25), media.Constant(-5.0 + 0.01j),
+        media.DrudeLorentz(omega_p=4.7e15, omega_0=0.0, gamma=3.7e14)])
+    def test_fresnel_on_a_detour_below_the_real_axis(self, material):
+        """k_par runs on a half-ellipse below the real axis, from 0.2 k1 to
+        3 k1, past k1 and past k1 sqrt(eps) at eps = 2.25 or the
+        surface-plasmon pole of the metals; k_z and k_z2 are continued step
+        by step from their Im >= 0 values at the start. The factored forms
+        equal the difference forms (k_z - k_z2)/(k_z + k_z2) and (eps k_z -
+        k_z2)/(eps k_z + k_z2) of the continued roots, with no warning."""
+        omega = 2.0 * np.pi * C / 1e-6
+        k1 = omega / C
+        eps = media.permittivity(material, omega)
+        phi = np.linspace(0.0, np.pi, 2001)
+        k_par = k1 * (1.6 - 1.4 * np.cos(phi) - 0.3j * np.sin(phi))
+
+        def continued(square):
+            roots = np.sqrt(square + 0j)
+            roots[0] = media.sqrt_im_pos(square[0])
+            for i in range(1, len(roots)):
+                if abs(roots[i] + roots[i - 1]) < abs(roots[i] - roots[i - 1]):
+                    roots[i] = -roots[i]
+            return roots
+
+        k_z = continued(k1**2 - k_par**2)
+        kz2 = continued(eps * k1**2 - k_par**2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r_s, r_p = media.fresnel(material, k_par, k_z, omega)
+        want_s = (k_z - kz2) / (k_z + kz2)
+        want_p = (eps * k_z - kz2) / (eps * k_z + kz2)
+        assert np.all(np.abs(r_p - want_p) <= 1e-12 * np.abs(want_p))
+        assert np.all(np.abs(r_s - want_s) <= 1e-12 * np.abs(want_s))
 
     def test_sqrt_branch(self):
         assert media.sqrt_im_pos(-1.0) == 1j

@@ -490,21 +490,32 @@ class TestSweep:
 
     def test_json_emit(self, tmp_path):
         """The file holds the bytes of a json.dump of each record written
-        out field by field, an error row with NaNs among them."""
+        out field by field, an error row among them whose NaNs are null, so
+        that a strict parser, which refuses the bare token NaN, reads it."""
         cfg = config.load_config(write_config(tmp_path))
         recs = sweep.sweep_1d(cfg, sweep.OneDSweep(1.5, 2.5, 3))
         recs.append(sweep._error_record((0.5, 1.0, "clip"), "exact",
                                         QuadratureError("no convergence")))
         path = tmp_path / "out.json"
         sweep.emit(recs, "json", str(path), metadata={"note": "x"})
-        doc = json.loads(path.read_text())
+
+        def refuse(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        doc = json.loads(path.read_text(), parse_constant=refuse)
         assert doc["metadata"] == {"note": "x"}
         assert len(doc["records"]) == 4
+        assert doc["records"][-1]["gamma"] is None
+
+        def value(v):
+            return v if np.isfinite(v) else None
+
         rows = [
             {
-                "x_m": rec.x_m, "z_m": rec.z_m, "gamma": rec.gamma,
-                "gamma_normalized": rec.gamma_normalized,
-                "method": rec.method, "error_estimate": rec.error_estimate,
+                "x_m": rec.x_m, "z_m": rec.z_m, "gamma": value(rec.gamma),
+                "gamma_normalized": value(rec.gamma_normalized),
+                "method": rec.method,
+                "error_estimate": value(rec.error_estimate),
                 "flag": rec.flag,
             }
             for rec in recs
