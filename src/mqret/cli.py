@@ -36,7 +36,10 @@ def _metadata(cfg):
 def _cmd_rate(args):
     cfg = load_config(args.config)
     mediator = None
-    if cfg.mediator is not None:
+    if cfg.has_mediator:
+        if cfg.mediator is None:
+            raise ConfigError("a rate needs the mediator's 'z'; only sweeps "
+                              "supply the mediator position")
         mediator = Mediator(cfg.mediator, StaticScalar(cfg.alpha))
     res = rate_isotropic(cfg.d_donor, cfg.d_acceptor, cfg.donor, cfg.acceptor,
                          cfg.environment, cfg.omega, mediator=mediator,

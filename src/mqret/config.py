@@ -37,16 +37,34 @@ class SimulationConfig:
     clip_radius: float            # lambda_D units, for 2-D maps
 
 
+def _object(data, context):
+    if not isinstance(data, dict):
+        raise ConfigError(f"{context} must be a JSON object, not "
+                          f"{type(data).__name__}")
+    return data
+
+
 def _require(data, key, context):
-    if key not in data:
+    if key not in _object(data, context):
         raise ConfigError(f"missing required field '{key}' in {context}")
     return data[key]
 
 
+def _number(value, name, kind=float):
+    """``value`` as ``kind``, or a ConfigError naming the field. JSON true
+    and false are not numbers, though Python reads them as 1 and 0."""
+    if not isinstance(value, bool):
+        try:
+            return kind(value)
+        except (TypeError, ValueError):
+            pass
+    raise ConfigError(f"{name} must be a number, not {value!r}")
+
+
 def _finite(perm, key, kind=float, default=None):
     """The permittivity field ``key`` as ``kind``, which must be finite."""
-    value = kind(_require(perm, key, "permittivity") if default is None
-                 else perm.get(key, default))
+    value = _number(_require(perm, key, "permittivity") if default is None
+                    else perm.get(key, default), f"permittivity {key}", kind)
     if not np.isfinite(value):
         raise ConfigError(f"permittivity {key} must be finite")
     return value
@@ -76,20 +94,20 @@ def _parse_environment(data):
 
 
 def _parse_body(data, name, lambda_d):
-    x = float(data.get("x", 0.0)) * lambda_d
-    z = float(_require(data, "z", name)) * lambda_d
+    z = _number(_require(data, "z", name), f"{name} z") * lambda_d
+    x = _number(data.get("x", 0.0), f"{name} x") * lambda_d
     return np.array([x, 0.0, z])
 
 
 def parse_config(data):
     """Build a validated SimulationConfig from a parsed JSON object."""
-    if "omega_d" in data:
-        omega = float(data["omega_d"])
+    if "omega_d" in _object(data, "config"):
+        omega = _number(data["omega_d"], "omega_d")
         if not 0 < omega < np.inf:
             raise ConfigError("omega_d must be positive and finite")
         lambda_d = 2.0 * np.pi * C / omega
     elif "lambda_d_m" in data:
-        lambda_d = float(data["lambda_d_m"])
+        lambda_d = _number(data["lambda_d_m"], "lambda_d_m")
         if not 0 < lambda_d < np.inf:
             raise ConfigError("lambda_d_m must be positive and finite")
         omega = angular_frequency(lambda_d)
@@ -106,7 +124,8 @@ def parse_config(data):
     has_mediator = "mediator" in data
     if has_mediator:
         med = data["mediator"]
-        vol = float(_require(med, "polarizability_volume", "mediator"))
+        vol = _number(_require(med, "polarizability_volume", "mediator"),
+                      "mediator polarizability_volume")
         alpha = 4.0 * np.pi * EPS0 * vol * lambda_d**3
         if "z" in med:
             mediator = _parse_body(med, "mediator", lambda_d)
@@ -115,8 +134,10 @@ def parse_config(data):
     if dip == "normalized":
         d_donor = d_acceptor = DEBYE
     else:
-        d_donor = float(_require(dip, "donor_debye", "dipoles")) * DEBYE
-        d_acceptor = float(_require(dip, "acceptor_debye", "dipoles")) * DEBYE
+        d_donor = _number(_require(dip, "donor_debye", "dipoles"),
+                          "dipoles donor_debye") * DEBYE
+        d_acceptor = _number(_require(dip, "acceptor_debye", "dipoles"),
+                             "dipoles acceptor_debye") * DEBYE
 
     method = data.get("method", "exact")
     if method not in ("auto", "limits", "exact"):
@@ -136,8 +157,8 @@ def parse_config(data):
         d_donor=d_donor,
         d_acceptor=d_acceptor,
         method=method,
-        quad_rtol=float(data.get("quad_rtol", 1e-9)),
-        clip_radius=float(data.get("clip_radius", 0.15)),
+        quad_rtol=_number(data.get("quad_rtol", 1e-9), "quad_rtol"),
+        clip_radius=_number(data.get("clip_radius", 0.15), "clip_radius"),
     )
     _validate(cfg)
     return cfg

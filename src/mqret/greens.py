@@ -189,14 +189,14 @@ def mirror_scatter_exact(r, r_prime, omega):
 
 # --- half-space scattering: full Sommerfeld evaluation -----------------------
 
-# J0 and J1 below x = 4: J0 = sum_k a_k s^k and J1 = x/2 sum_k b_k s^k in
-# s = x^2/8 - 1, to k = 14; the first term left out is below 2e-20. They are
-# the series sum_k (-4)^k / (k!)^2 t^k and sum_k (-4)^k / (k! (k+1)!) t^k in
-# t = (x/4)^2 = (1 + s)/2 re-expanded about t = 1/2 (mpmath, 40 digits). The
-# terms of the series in t reach 4 at x = 4 and cancel to J0(4) = -0.40, so
-# its rounding depends on the order in which a matrix product adds them: up
-# to 3.8e-15 for a lone argument. These sum to at most 1.4 in absolute value.
-_J01_SERIES = np.array([
+# J0, J1 and J2 below x = 4: sum_k a_k s^k, x/2 sum_k b_k s^k and
+# x^2/8 sum_k c_k s^k in s = x^2/8 - 1, to k = 14, the first term left out
+# below 2e-20: the series sum_k (-4)^k / (k! (k+n)!) t^k in t = (x/4)^2 =
+# (1 + s)/2 (times 2 for J2) re-expanded about t = 1/2 (mpmath, 40 digits).
+# Its terms reach 4 at x = 4 and cancel to J0(4) = -0.40, so its rounding
+# depends on the order in which a matrix product adds them: up to 3.8e-15
+# for a lone argument. Each row's |coefficients| sum to at most 1.4.
+_J012_SERIES = np.array([
     [
         -0.1965480952704682, -0.565959973761085, 0.4795280821510107,
         -0.13103206351364546, 0.01835270061006565, -0.001578954136687973,
@@ -211,6 +211,14 @@ _J01_SERIES = np.array([
         -3.2372155724786765e-10, 5.977605883252376e-12, -9.175938783660108e-14,
         1.1896017267165944e-15, -1.3199318555042018e-17,
         1.2677210760691464e-19,
+    ],
+    [
+        0.4795280821510107, -0.3930961905409364, 0.1101162036603939,
+        -0.01578954136687973, 0.0013842260985340124, -8.21171815528421e-05,
+        3.5216385760482746e-06, -1.143878224912615e-07, 2.913494015230809e-09,
+        -5.977605883252376e-11, 1.0093532662026119e-12,
+        -1.4275220720599133e-14, 1.7159114121554624e-16,
+        -1.774809506496805e-18, 1.5964677669145507e-20,
     ],
 ])
 
@@ -243,7 +251,7 @@ _J01_ABOUT_6 = np.array([
 ])
 
 # P0, Q0, P1 and Q1 of Hankel's form of J0 and J1 from x = 8 up (see
-# _bessel_j01), as polynomials in y = (8/x)^2 of degree 11: mpmath's
+# _bessel_j012), as polynomials in y = (8/x)^2 of degree 11: mpmath's
 # chebyfit on y in [0, 1] at 40 digits, to P and Q from mpmath's J_n and
 # Y_n, within 2.6e-17 of them.
 _J01_HANKEL = np.array([
@@ -292,60 +300,47 @@ def _powers(u, n):
     return rows
 
 
-def _bessel_j01(x):
-    """J0 and J1 of an array x >= 0, each of the shape of x.
+def _bessel_j012(x):
+    """J0, J1 and J2 of an array x >= 0, each of the shape of x.
 
-    Below x = 4 and on [4, 8) they are Taylor series about x = 2 sqrt(2)
-    and x = 6 (``_J01_SERIES`` and ``_J01_ABOUT_6``); from x = 8 up
+    Below x = 4 all three are the series ``_J012_SERIES`` in x^2/8 - 1, so
+    J2(0) = 0 exactly. From x = 4 up J2 = 2 J1/x - J0, and J0 and J1 are
+    the Taylor series about 6 on [4, 8) (``_J01_ABOUT_6``) and from x = 8
     Hankel's form
 
         J0 = sqrt(1/(pi x)) [P0 (cos x + sin x) - (8/x) Q0 (sin x - cos x)]
         J1 = sqrt(1/(pi x)) [P1 (sin x - cos x) + (8/x) Q1 (sin x + cos x)]
 
-    with P and Q the polynomials in (8/x)^2 of ``_J01_HANKEL`` and one sin
-    and cos of x shared by both. Each polynomial is one row of a matrix
-    product with the powers of its variable. Writing cos(x - pi/4) as
-    (cos x + sin x)/sqrt(2) leaves x unrounded, where
+    with P and Q the polynomials in (8/x)^2 of ``_J01_HANKEL``, each series
+    one matrix product, and one sin and cos of x shared by both. Writing
+    cos(x - pi/4) as (cos x + sin x)/sqrt(2) leaves x unrounded, where
     ``scipy.special.j0`` and ``j1`` round x - pi/4 to a double, which moves
     J by up to eps sqrt(x / 2 pi): 2.0e-15 and 1.5e-14 from mpmath on
-    [8, 2000) and [2000, 1e5]. Against mpmath at 30 digits this kernel is
+    [8, 2000) and [2000, 1e5]. Against mpmath at 30 digits J0 and J1 are
     within 4e-16 below x = 8 and 1.4e-16 beyond, for any number of
-    arguments.
+    arguments, and J2 within 6.2e-16 relative below 4; J0(0) = 1 and
+    J1(0) = 0 only to 4e-16 (see :func:`_bessel_columns`).
     """
-    j0, j1 = np.empty(x.shape), np.empty(x.shape)
+    j0, j1, j2 = np.empty(x.shape), np.empty(x.shape), np.empty(x.shape)
     below, beyond = x < 4.0, x >= 8.0
     between = ~(below | beyond)
     xs = x[below]
-    s0, s1 = _J01_SERIES @ _powers(0.125 * xs * xs - 1.0, 15)
-    j0[below], j1[below] = s0, 0.5 * xs * s1
-    j0[between], j1[between] = _J01_ABOUT_6 @ _powers(x[between] - 6.0, 24)
+    t = 0.125 * xs * xs
+    s0, s1, s2 = _J012_SERIES @ _powers(t - 1.0, 15)
+    j0[below], j1[below], j2[below] = s0, 0.5 * xs * s1, t * s2
+    xm = x[between]
+    b0, b1 = _J01_ABOUT_6 @ _powers(xm - 6.0, 24)
+    j0[between], j1[between], j2[between] = b0, b1, 2.0 * b1 / xm - b0
     xb = x[beyond]
     r = 8.0 / xb
     p0, q0, p1, q1 = _J01_HANKEL @ _powers(r * r, 12)
     cos, sin = np.cos(xb), np.sin(xb)
     plus, minus = cos + sin, sin - cos
     amp = np.sqrt(1.0 / (np.pi * xb))
-    j0[beyond] = amp * (p0 * plus - r * q0 * minus)
-    j1[beyond] = amp * (p1 * minus + r * q1 * plus)
-    return j0, j1
-
-
-def _bessel_j012(x):
-    """J0, J1 and J2 of x >= 0, each of the shape of x. J0 and J1 come from
-    :func:`_bessel_j01`, J2 from the recurrence 2 J1(x)/x - J0(x). Below
-    x = 0.01, where the recurrence cancels to its last digits (and, for
-    subnormal x, to 1e-11), J2 comes from its series x^2/8 (1 - x^2/12).
-    At x = 0 they are within 4e-16 of J0 = 1 and J1 = J2 = 0, not exact;
-    :func:`_bessel_columns` gives the exact on-axis factors without them."""
-    x = np.asarray(x, dtype=float)
-    b0, b1 = _bessel_j01(x)
-    small = x < 1e-2
-    # an array even for a 0-d x, where the arithmetic gives a numpy scalar
-    b2 = np.asarray(2.0 * b1 / np.where(small, 1.0, x) - b0)
-    if small.any():
-        x2 = x[small] ** 2
-        b2[small] = 0.125 * x2 * (1.0 - x2 / 12.0)
-    return b0, b1, b2
+    b0 = amp * (p0 * plus - r * q0 * minus)
+    b1 = amp * (p1 * minus + r * q1 * plus)
+    j0[beyond], j1[beyond], j2[beyond] = b0, b1, 2.0 * b1 / xb - b0
+    return j0, j1, j2
 
 
 def _kernel_columns(k_par, k_z, k1, r_s, r_p):
@@ -394,7 +389,6 @@ def _assemble(comps, phi0):
     """Tensor R g R^T from components ``(..., 4)`` (xx, yy, zz, xz) in the
     frame with the lateral separation along +x, where zx = -xz, rotated by
     ``phi0`` about z."""
-    comps = np.asarray(comps, dtype=complex)
     xx, yy, zz, xz = (comps[..., k] for k in range(4))
     c, s = np.cos(phi0), np.sin(phi0)
     cc, ss = c * c, s * s

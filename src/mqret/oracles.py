@@ -1,9 +1,9 @@
 """Independent verification machinery.
 
 Contour-identity checks for the two frequency-integral identities behind the
-pole-only rate result, a ``quad_vec`` Sommerfeld reference integrator for
-every material, and asymptotic-limit scanners. These produce the derived
-reference values consumed by the test suite and the ``verify`` CLI command.
+pole-only rate result, a ``quad_vec`` Sommerfeld reference for every
+material, with its own contour, Bessel functions, Fresnel coefficients and
+tensor, and asymptotic-limit scanners, for the test suite and ``verify``.
 """
 
 from dataclasses import dataclass, field
@@ -14,14 +14,8 @@ from scipy.integrate import quad, quad_vec
 from scipy.special import jv
 
 from .core import C, TINY, dyadic_reciprocity_defect
-from .greens import (
-    _EVANESCENT_DECADES,
-    _assemble,
-    _components,
-    _kernel_columns,
-    mirror_scatter_exact,
-)
-from .media import PerfectReflector, fresnel, permittivity, sqrt_im_pos
+from .greens import _EVANESCENT_DECADES, mirror_scatter_exact
+from .media import PerfectReflector, permittivity, sqrt_im_pos
 
 
 @dataclass(frozen=True)
@@ -153,8 +147,12 @@ def contour_identity_check(rho, omega_d, which="plus", include_pole=True):
 
 def _kpar_pieces(big_z, lateral, omega, material):
     """The Sommerfeld integral in q = k_par / k1 as pieces ``(f, width)``
-    whose integrals over w in [0, width] sum to the components (xx, yy, zz,
-    xz) in the frame with the lateral separation along +x.
+    whose integrals over w in [0, width] sum to the 3 x 3 tensor in the
+    frame with the lateral separation along +x: the angular spectrum
+    i/(8 pi^2) int d^2k_par (r_s s s^T + r_p p_r p_i^T) e^{i k_par . rho +
+    i k_z Z} / k_z of Novotny & Hecht (*Principles of Nano-Optics*, ch. 10)
+    integrated over the azimuth of k_par into J0, J1 and J2 (scipy's), with
+    r_s = (k_z - k_z2)/(k_z + k_z2), r_p = (eps k_z - k_z2)/(eps k_z + k_z2).
 
     q runs up to the evaluator's cut-off kappa (z + z') = 40, with edges at
     the branch points q = 1 and q = Re sqrt(eps) of k_z and k_z2 and at the
@@ -167,7 +165,8 @@ def _kpar_pieces(big_z, lateral, omega, material):
     k1 = omega / C
     q_max = float(np.hypot(1.0, _EVANESCENT_DECADES / (k1 * big_z)))
     edges = {0.0, 1.0, q_max}
-    if not isinstance(material, PerfectReflector):
+    perfect = isinstance(material, PerfectReflector)
+    if not perfect:
         eps = permittivity(material, omega)
         edges.add(float(sqrt_im_pos(eps).real))
         if eps.real < -1.0:
@@ -183,15 +182,21 @@ def _kpar_pieces(big_z, lateral, omega, material):
             zeta = sqrt_im_pos((1.0 - q) * (1.0 + q))
             jac = 2.0 * w * q / zeta
         # k_z = k1 zeta, on this contour's own branch; k1 jac = (k_par /
-        # k_z) dk_par / dw. J0, J1 and J2 come from scipy.special.jv, so
-        # that the reference shares no Bessel code with the evaluator.
-        k_par, k_z = k1 * q, k1 * zeta
-        cols = _kernel_columns(k_par, k_z, k1,
-                               *fresnel(material, k_par, k_z, omega))
-        b0, b1, b2 = jv([0, 1, 2], k_par * lateral)
-        weight = np.pi * k1 * jac * np.exp(1j * k_z * big_z)
-        return 1j / (8.0 * np.pi**2) * _components(
-            weight * cols * np.array([b0, b2, b0, b1]))
+        # k_z) dk_par / dw
+        r_s, r_p = -1.0, 1.0
+        if not perfect:
+            zeta2 = sqrt_im_pos(eps - q * q)
+            r_s = (zeta - zeta2) / (zeta + zeta2)
+            r_p = (eps * zeta - zeta2) / (eps * zeta + zeta2)
+        # over pi, the azimuthal integrals of s s^T (diagonal) and p_r p_i^T,
+        # s normal to k_par and z, p_i, p_r = (+-k_z k_hat + |k_par| z) / k1
+        b0, b1, b2 = jv([0, 1, 2], k1 * q * lateral)
+        tilt, z2 = 2j * q * zeta * b1, zeta * zeta
+        pp = np.array([[-z2 * (b0 - b2), 0.0, -tilt],
+                       [0.0, -z2 * (b0 + b2), 0.0],
+                       [tilt, 0.0, 2.0 * q * q * b0]])
+        return (1j / (8.0 * np.pi) * k1 * jac * np.exp(1j * k1 * zeta * big_z)
+                * (r_s * np.diag([b0 + b2, b0 - b2, 0.0]) + r_p * pp))
 
     pieces = []
     for lo, hi in zip(edges, edges[1:]):
@@ -203,13 +208,12 @@ def _kpar_pieces(big_z, lateral, omega, material):
 
 def sommerfeld_reference(r, r_prime, omega, material):
     """Half-space scattering tensor by ``scipy.integrate.quad_vec`` over
-    the pieces of :func:`_kpar_pieces`, for dielectrics, 0 < Re eps < 1,
-    lossy metals and the perfect reflector. It shares no quadrature rule
-    (15-point Gauss-Kronrod, not 21) and no contour with the adaptive
-    evaluator; r_s and r_p come from :func:`mqret.media.fresnel`, as the
-    evaluator's do, at the permittivity given and at the k_z of the
-    reference's own contour in q. Each piece runs to a relative
-    tolerance of 1e-10 in the max norm. Returns ``(tensor, relative error
+    the pieces of :func:`_kpar_pieces`, rotated about z to the lateral
+    separation, for dielectrics, 0 < Re eps < 1, lossy metals and the
+    perfect reflector. Of the adaptive evaluator it shares only the cut-off
+    ``_EVANESCENT_DECADES``: not its rule (GK15, not 21 points), contour,
+    Bessel functions, Fresnel coefficients or assembly. Each piece runs to
+    rtol 1e-10 in the max norm. Returns ``(tensor, relative error
     estimate)``, the pieces' summed estimates over the largest component.
     """
     r = np.asarray(r, dtype=float)
@@ -217,14 +221,16 @@ def sommerfeld_reference(r, r_prime, omega, material):
     if r[2] <= 0.0 or rp[2] <= 0.0:
         raise ValueError("both points must lie above the interface")
     dx, dy = r[0] - rp[0], r[1] - rp[1]
+    lateral = np.hypot(dx, dy)
     total, err = 0.0, 0.0
-    for f, width in _kpar_pieces(r[2] + rp[2], np.hypot(dx, dy), omega,
-                                 material):
+    for f, width in _kpar_pieces(r[2] + rp[2], lateral, omega, material):
         value, e = quad_vec(f, 0.0, width, epsrel=1e-10, norm="max",
                             quadrature="gk15")
         total, err = total + value, err + e
-    phi0 = np.arctan2(dy, dx) if dx or dy else 0.0
-    return _assemble(total, phi0), err / max(float(np.abs(total).max()), TINY)
+    phi0 = np.arctan2(dy, dx)  # 0 on axis, where dx = dy = +0.0
+    c, s = np.cos(phi0), np.sin(phi0)
+    rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    return rot @ total @ rot.T, err / max(float(np.abs(total).max()), TINY)
 
 
 # largest error estimate of the reference that still makes the

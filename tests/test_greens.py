@@ -178,12 +178,13 @@ class TestSommerfeld:
 
 
 class TestBesselKernel:
-    """The numpy J0/J1 kernel of the Sommerfeld integrand, and J2 from it,
-    against scipy.special, which shares no code with it, and against
-    values of mpmath."""
+    """The numpy J0/J1/J2 kernel of the Sommerfeld integrand against
+    scipy.special, which shares no code with it, and against values of
+    mpmath."""
 
-    # region edges of greens._bessel_j01 and of the J2 series
-    EDGES = np.array([1e-2, 4.0, 8.0])
+    # region edges of greens._bessel_j012: its series below 4, where J2
+    # leaves its own series for the recurrence, and Hankel's form from 8
+    EDGES = np.array([4.0, 8.0])
     # (x, J0, J1, J2) from mpmath at 40 digits
     MPMATH = [
         (0.5, 0.9384698072408129, 0.2422684576748739, 0.03060402345868264),
@@ -252,11 +253,39 @@ class TestBesselKernel:
         for got, w in zip(greens._bessel_j012(x), want):
             assert np.abs(got - w).max() <= 5e-16
 
+    @staticmethod
+    def series_j2(x):
+        """J2(x) = sum_m (-1)^m (x/2)^(2m+2) / (m! (m+2)!) summed in decimal
+        arithmetic at 40 digits from the exact double x; equal to mpmath's
+        besselj(2, x) at 40 digits, rounded to a double, on the sweep
+        below."""
+        from decimal import Decimal, localcontext
+
+        with localcontext() as ctx:
+            ctx.prec = 40
+            h2 = (Decimal(float(x)) / 2) ** 2
+            term = total = h2 / 2
+            m = 0
+            while abs(term) > Decimal(10) ** -45 * abs(total):
+                m += 1
+                term = -term * h2 / (m * (m + 2))
+                total += term
+            return float(total)
+
+    def test_j2_below_4_matches_its_series(self):
+        """J2 within 1e-15 relative on a geometric sweep over (1e-8, 4),
+        where it is its own series in x^2/8 - 1, not the recurrence
+        2 J1/x - J0, which cancels to 2.5e-11 near x = 0.01."""
+        x = np.geomspace(1e-8, 4.0, 600, endpoint=False)
+        want = np.array([self.series_j2(v) for v in x])
+        got = greens._bessel_j012(x)[2]
+        assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want))
+
     @pytest.mark.parametrize("shape", [(), (1,), (7,), (2, 3, 4), (0,)])
     def test_shape_of_input(self, shape):
-        """Each result is an array of the shape of x. A 0-d x, at 0, below
-        and above x = 0.01 where J2 leaves its series, gives the values of
-        the same x in a 1-element array."""
+        """Each result is an array of the shape of x. A 0-d x, at 0 and at
+        two points of the series below x = 4, gives the values of the same x
+        in a 1-element array."""
         x = np.random.default_rng(5).uniform(0.0, 20.0, shape)
         for j in greens._bessel_j012(x):
             assert type(j) is np.ndarray and j.shape == shape
@@ -282,7 +311,7 @@ class TestBesselKernel:
 
     def test_on_axis_runs_evaluate_no_bessel_function(self, monkeypatch):
         """A lone on-axis G_AD and a batch of on-axis geometries at several
-        heights never reach the J0/J1 kernel, and give the tensors that they
+        heights never reach the Bessel kernel, and give the tensors that they
         give when it is there to call."""
         mat = media.Constant(2.25)
         z = np.array([0.04, 0.3, 1.1, 2.0])[:, None]
@@ -296,7 +325,7 @@ class TestBesselKernel:
         def no_kernel(x):
             raise AssertionError("the Bessel kernel was called on axis")
 
-        monkeypatch.setattr(greens, "_bessel_j01", no_kernel)
+        monkeypatch.setattr(greens, "_bessel_j012", no_kernel)
         for (r, rp), (g, err) in zip(pairs, want):
             got, got_err = greens.halfspace_scatter_full(r, rp, OMEGA, mat)
             assert got.tobytes() == g.tobytes()

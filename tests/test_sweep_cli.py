@@ -161,6 +161,27 @@ class TestConfig:
         with pytest.raises(config.ConfigError, match=match):
             config.load_config(p)
 
+    @pytest.mark.parametrize("doc, match", [
+        ('"lambda_d_m"', "config must be a JSON object"),
+        ({"donor": 0.04}, "donor must be a JSON object"),
+        ({"mediator": 5}, "mediator must be a JSON object"),
+        ({"lambda_d_m": "1e-6x"}, "lambda_d_m must be a number"),
+        ({"donor": {"z": "a"}}, "donor z must be a number"),
+        ({"quad_rtol": True}, "quad_rtol must be a number"),
+    ], ids=["top-level-string", "donor-number", "mediator-number",
+            "lambda-text", "donor-z-text", "rtol-boolean"])
+    def test_wrong_json_type_names_the_field(self, tmp_path, doc, match):
+        """A value of the wrong JSON type is a ConfigError that names its
+        block or field, not a bare TypeError or ValueError from inside the
+        parser."""
+        if isinstance(doc, dict):
+            p = write_config(tmp_path, doc)
+        else:
+            p = tmp_path / "cfg.json"
+            p.write_text(doc)
+        with pytest.raises(config.ConfigError, match=match):
+            config.load_config(str(p))
+
 
 class TestSweep:
     def test_sweep_1d_records(self, tmp_path):
@@ -591,6 +612,21 @@ class TestCli:
         assert doc["gamma_normalized"] > 0.0
         assert "gamma" in doc
 
+    def test_rate_needs_the_mediator_position(self, tmp_path, capsys):
+        """A mediator block without z, which sweeps fill in, is an error for
+        a lone rate, not a rate without the mediator; a config without a
+        mediator block is the two-body rate."""
+        assert cli.main(["rate", "--config", write_config(tmp_path)]) == 1
+        assert "mediator's 'z'" in capsys.readouterr().err
+        two_body = {k: v for k, v in BASE_CONFIG.items() if k != "mediator"}
+        path = tmp_path / "two_body.json"
+        path.write_text(json.dumps(two_body))
+        assert cli.main(["rate", "--config", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["gamma_normalized"] == 1.0
+        with pytest.raises(config.ConfigError, match="mediator's 'z'"):
+            cli._cmd_rate(cli._parser().parse_args(
+                ["rate", "--config", write_config(tmp_path)]))
+
     def test_rate_command_auto_is_exact(self, tmp_path, capsys):
         """A config's "auto" method loads as "exact" and gives its rate."""
         docs = []
@@ -647,7 +683,9 @@ class TestCli:
         """main reuses one parser: each call still gets its own defaults,
         and an argparse error leaves the next call unaffected."""
         p = write_config(tmp_path)
-        assert cli.main(["rate", "--config", p]) == 0
+        rate = write_config(tmp_path, {"mediator": {
+            "z": 2.0, "polarizability_volume": 0.1}}, name="rate.json")
+        assert cli.main(["rate", "--config", rate]) == 0
         assert "gamma" in json.loads(capsys.readouterr().out)
         map_out = tmp_path / "map.json"
         assert cli.main(["map", "--config", p, "--xmin", "-0.5", "--xmax", "0.5",
