@@ -79,9 +79,10 @@ def r_retarded(eps):
 def fresnel(material, k_par, k_z, omega):
     """s- and p-polarized reflection coefficients of the half-space at the
     vacuum k_par and k_z (1/m) of the caller's contour, complex allowed,
-    k_z^2 = k1^2 - k_par^2. Only k_z2 = sqrt(eps k1^2 - k_par^2) is taken
-    here, from that difference (k_z^2 + (eps - 1) k1^2 cancels near the
-    branch point when |eps| << 1). r_s = (1 - eps) k1^2 / (k_z + k_z2)^2
+    k_z^2 = k1^2 - k_par^2. Only k_z2 = sqrt(k_z^2 + (eps - 1) k1^2) is
+    taken here, from the contour's own k_z: eps k1^2 - k_par^2, two terms
+    of size k1^2, cancels near k_par = k1, where k_z2 of a nearly
+    index-matched material is small. r_s = (1 - eps) k1^2 / (k_z + k_z2)^2
     and r_p = (eps - 1)(eps k1^2 - (eps + 1) k_par^2) / (eps k_z + k_z2)^2,
     the difference forms factored, vanish exactly at eps = 1. Returns
     (r_s, r_p), broadcast over k_par and k_z.
@@ -92,7 +93,7 @@ def fresnel(material, k_par, k_z, omega):
     eps = permittivity(material, omega)
     k1sq = (omega / C) ** 2
     k_par_sq = k_par * k_par
-    kz2 = sqrt_im_pos(eps * k1sq - k_par_sq)
+    kz2 = sqrt_im_pos(k_z * k_z + (eps - 1.0) * k1sq)
     r_s = (1.0 - eps) * k1sq / (k_z + kz2) ** 2
     r_p = (eps - 1.0) * (eps * k1sq - (eps + 1.0) * k_par_sq) / (
         eps * k_z + kz2) ** 2

@@ -157,6 +157,8 @@ def _kpar_pieces(big_z, lateral, omega, material):
     q runs up to the evaluator's cut-off kappa (z + z') = 40, with edges at
     the branch points q = 1 and q = Re sqrt(eps) of k_z and k_z2 and at the
     surface-plasmon pole q = Re sqrt(eps / (eps + 1)) when Re eps < -1.
+    At eps = 1 both coefficients vanish and there are no pieces: their
+    difference forms would read rounding there, and 0/0 at q = 1.
     Each interval [lo, hi] is halved, with q = lo + w^2 on its lower half
     and q = hi - w^2 on its upper one, which makes a square root at an edge
     analytic in w. At q = 1 the w of dq = 2w dw cancels that of
@@ -168,6 +170,8 @@ def _kpar_pieces(big_z, lateral, omega, material):
     perfect = isinstance(material, PerfectReflector)
     if not perfect:
         eps = permittivity(material, omega)
+        if eps == 1.0:
+            return []
         edges.add(float(sqrt_im_pos(eps).real))
         if eps.real < -1.0:
             edges.add(float(sqrt_im_pos(eps / (eps + 1.0)).real))
@@ -222,7 +226,7 @@ def sommerfeld_reference(r, r_prime, omega, material):
         raise ValueError("both points must lie above the interface")
     dx, dy = r[0] - rp[0], r[1] - rp[1]
     lateral = np.hypot(dx, dy)
-    total, err = 0.0, 0.0
+    total, err = np.zeros((3, 3), dtype=complex), 0.0
     for f, width in _kpar_pieces(r[2] + rp[2], lateral, omega, material):
         value, e = quad_vec(f, 0.0, width, epsrel=1e-10, norm="max",
                             quadrature="gk15")

@@ -2,11 +2,11 @@
 
 One geometry gives three tensors, G_AD, G_AM and G_MD, built by
 ``_coupling``: G_AM and G_MD once per rate, G_AD once per donor-acceptor
-pair, since it does not depend on the mediator (a sweep evaluates it
-once, before its rows). They form the coupling tensor
-F = G_AD + mu0 w^2 alpha G_AM G_MD. The oriented rate, the isotropically
-averaged rate and the mediator-free reference rate Gamma_0 are projections
-of those tensors. The module also holds the colinear near/far-zone closed
+pair, since it does not depend on the mediator (a sweep evaluates it once,
+before its rows, and passes it to each rate as ``direct``). They form the
+coupling tensor F = G_AD + mu0 w^2 alpha G_AM G_MD. The oriented rate, the
+isotropically averaged rate and the mediator-free reference rate Gamma_0
+are projections of those tensors. The module also holds the colinear near/far-zone closed
 form and the two-body reference formulas used for consistency checks.
 
 The "limits" method takes the quasi-static (phase-free) near-zone tensor on
@@ -27,7 +27,6 @@ rate propagates the errors that the tensors achieved, whatever their
 tolerances were.
 """
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,33 +101,17 @@ def _green(env, r, r_prime, omega, method, rtol, bulk, atol):
     return bulk + gs, err
 
 
-@functools.lru_cache(maxsize=8)
 def _direct_leg(env, r_a, r_d, omega, method, rtol):
-    """G_AD and the bound on its error for one donor-acceptor pair, given
-    as ``_point_key`` tuples; the eight most recent pairs are kept, so that
-    a sweep over mediator positions evaluates G_AD once per pair.
-
-    The arguments are everything the tensor depends on, and it depends on
-    nothing else (it is always evaluated in a tensor call of its own, never
-    in a batch, and its absolute tolerance rtol ||G0_AD|| / sqrt(5) per
-    component comes from its own bulk tensor G0_AD), so a hit returns
-    exactly what a fresh evaluation would. The returned tensor is read-only
-    because every hit shares it.
-    """
-    r_a, r_d = np.array(r_a), np.array(r_d)
-    # the "nr" bulk tensor of the "limits" direct leg is the phase-free one
+    """G_AD of a rate ``method`` and the bound on its error, evaluated in a
+    tensor call of its own to the absolute tolerance rtol ||G0_AD|| / sqrt(5)
+    per component that its own bulk tensor G0_AD sets, so that it is the
+    same whatever else a sweep evaluates."""
+    # the bulk tensor of the "limits" direct leg is the phase-free "nr" one
+    method = "nr" if method == "limits" else "exact"
+    r_a, r_d = np.asarray(r_a, dtype=float), np.asarray(r_d, dtype=float)
     g0 = green_bulk(r_a, r_d, omega, method=method, include_phase=False)
     atol = rtol * np.sqrt(_norm2(g0) / 5.0)
-    g_ad, err = _green(env, r_a, r_d, omega, method, rtol, g0, atol)
-    g_ad.flags.writeable = False
-    return g_ad, err
-
-
-def _direct(env, r_a, r_d, omega, method, rtol):
-    """G_AD of a rate ``method`` and the bound on its error, through the
-    ``_direct_leg`` memo; a sweep calls it once before its rows."""
-    return _direct_leg(env, _point_key(r_a), _point_key(r_d), float(omega),
-                       "nr" if method == "limits" else "exact", float(rtol))
+    return _green(env, r_a, r_d, omega, method, rtol, g0, atol)
 
 
 def _leg_tolerances(g_ad, g0_am, g0_md, scale, rtol):
@@ -148,12 +131,8 @@ def _leg_tolerances(g_ad, g0_am, g0_md, scale, rtol):
                            share / np.sqrt(_norm2(g0_am))])
 
 
-def _point_key(r):
-    # adding 0.0 maps -0.0 to 0.0, which the key already treats as equal
-    return tuple((np.asarray(r, dtype=float) + 0.0).tolist())
-
-
-def _coupling(env, r_a, r_d, omega, mediator=None, method="exact", rtol=1e-9):
+def _coupling(env, r_a, r_d, omega, mediator=None, method="exact", rtol=1e-9,
+              direct=None):
     """The tensors of one geometry: ``(G_AD, mu0 w^2 alpha G_AM G_MD, err)``.
 
     Their sum is the coupling tensor F(A, M, D); the mediated term is zero
@@ -163,10 +142,10 @@ def _coupling(env, r_a, r_d, omega, mediator=None, method="exact", rtol=1e-9):
     ``err`` bounds the Frobenius norm of the error of F, propagated to first
     and second order from the absolute error of each leg. Reciprocity gives
     F(D, M, A) = F(A, M, D)^T, so no rate needs the reversed legs.
-    G_AD comes from the ``_direct_leg`` memo, so that it is the same
-    whatever else the sweep evaluates, and is read-only. The Sommerfeld
-    legs are integrated to the tolerances of ``_leg_tolerances``, so
-    ``rtol`` is the relative accuracy asked of F.
+    ``direct`` is the pair's ``(G_AD, err)`` as ``_direct_leg`` returns
+    it; without it, G_AD is evaluated there, with the same result. The
+    Sommerfeld legs are integrated to the tolerances of
+    ``_leg_tolerances``, so ``rtol`` is the relative accuracy asked of F.
 
     A mediator position of shape (N, 3) gives the mediated terms and errors
     of N geometries, with G_AM and G_MD of all N from one tensor call. Its
@@ -183,7 +162,7 @@ def _coupling(env, r_a, r_d, omega, mediator=None, method="exact", rtol=1e-9):
         alpha = polarizability(mediator.polarizability, omega / C)
     _check_positions(env, positions, omega)
 
-    g_ad, err = _direct(env, r_a, r_d, omega, method, rtol)
+    g_ad, err = direct or _direct_leg(env, r_a, r_d, omega, method, rtol)
     batch = np.shape(mediator.position)[:-1] if mediator is not None else ()
     if alpha == 0.0:
         return g_ad, np.zeros(batch + (3, 3), dtype=complex), err + np.zeros(batch)
@@ -215,7 +194,8 @@ def rate_oriented(donor, acceptor, env, omega, mediator=None, method="exact",
 
     Gamma = (2 pi mu0^2 w^4 / hbar) |d_A* . [G_AD + mu0 w^2 alpha G_AM G_MD]
     . d_D|^2; with no mediator this is the two-body rate. Normalization is
-    against the mediator-free rate from the same G_AD.
+    against the mediator-free rate from the same G_AD. A mediator position
+    of shape (N, 3) gives arrays of length N, as in :func:`rate_isotropic`.
     """
     g_ad, g_med, err = _coupling(env, acceptor.position, donor.position,
                                  omega, mediator, method, rtol)
@@ -223,23 +203,25 @@ def rate_oriented(donor, acceptor, env, omega, mediator=None, method="exact",
     amp0 = d_a @ g_ad @ donor.moment
     amp_med = d_a @ g_med @ donor.moment
     pref = 2.0 * np.pi * MU0**2 * omega**4 / HBAR
-    gamma = pref * abs(amp0 + amp_med) ** 2
+    amp = amp0 + amp_med
+    amp2 = amp.real**2 + amp.imag**2
+    gamma = pref * amp2
     # |d_A* . dF . d_D| <= |d_A| |d_D| ||dF||
     amp_err = (np.linalg.norm(acceptor.moment) * np.linalg.norm(donor.moment)
                * err)
-    gamma0_val = pref * abs(amp0) ** 2
-    return RateResult(
-        gamma=float(gamma),
-        gamma_normalized=float(gamma / max(gamma0_val, TINY)),
-        matrix_element_direct=complex(MU0 * omega**2 * amp0),
+    gamma0_val = pref * (amp0.real**2 + amp0.imag**2)
+    return _result(
+        gamma=gamma,
+        gamma_normalized=gamma / max(gamma0_val, TINY),
+        matrix_element_direct=np.full(np.shape(gamma), MU0 * omega**2 * amp0),
         matrix_element_indirect=(None if mediator is None
-                                 else complex(-MU0 * omega**2 * amp_med)),
-        error_estimate=float(_squared_error(amp_err, abs(amp0 + amp_med))),
+                                 else -MU0 * omega**2 * amp_med),
+        error_estimate=_squared_error(amp_err, np.sqrt(amp2)),
     )
 
 
 def rate_isotropic(d_donor, d_acceptor, r_donor, r_acceptor, env, omega,
-                   mediator=None, method="exact", rtol=1e-9):
+                   mediator=None, method="exact", rtol=1e-9, direct=None):
     """Isotropically averaged transfer rate.
 
     ``d_donor`` and ``d_acceptor`` are dipole magnitudes (C*m); the averaging
@@ -251,21 +233,28 @@ def rate_isotropic(d_donor, d_acceptor, r_donor, r_acceptor, env, omega,
 
     A mediator position of shape (N, 3) gives the rates of N mediator
     positions in one call; the result's fields are then arrays of length N.
+    ``direct`` is the donor-acceptor pair's G_AD and its error, as a sweep
+    keeps it (see :func:`_coupling`); the rate is the same without it.
     """
     if d_donor <= 0.0 or d_acceptor <= 0.0:
         raise ValueError("dipole magnitudes must be positive")
     g_ad, g_med, err = _coupling(env, r_acceptor, r_donor, omega, mediator,
-                                 method, rtol)
+                                 method, rtol, direct)
     pref = (2.0 * np.pi * MU0**2 * omega**4 / (9.0 * HBAR)
             * d_donor**2 * d_acceptor**2)
     f2 = _norm2(g_ad + g_med)
     gamma = pref * f2
     gamma0_val = pref * _norm2(g_ad)
-    fields = {"gamma": gamma,
-              "gamma_normalized": gamma / max(gamma0_val, TINY),
-              "error_estimate": _squared_error(err, np.sqrt(f2))}
-    if np.ndim(gamma) == 0:
-        fields = {k: float(v) for k, v in fields.items()}
+    return _result(gamma=gamma,
+                   gamma_normalized=gamma / max(gamma0_val, TINY),
+                   error_estimate=_squared_error(err, np.sqrt(f2)))
+
+
+def _result(**fields):
+    """A RateResult of Python scalars for one geometry, of arrays for N."""
+    if np.ndim(fields["gamma"]) == 0:
+        fields = {k: v if v is None else np.asarray(v).item()
+                  for k, v in fields.items()}
     return RateResult(**fields)
 
 

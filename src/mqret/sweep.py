@@ -21,7 +21,7 @@ import numpy as np
 from .config import ConfigError
 from .core import GeometryError, QuadratureError
 from .media import StaticScalar, SurfaceModeError
-from .rates import Mediator, _check_positions, _direct, rate_isotropic
+from .rates import Mediator, _check_positions, _direct_leg, rate_isotropic
 
 CSV_HEADER = ["x_m", "z_m", "gamma", "gamma_normalized", "method",
               "error_estimate", "flag"]
@@ -96,9 +96,10 @@ def _error_record(row, method, exc):
                       flag=f"error:{type(exc).__name__}")
 
 
-def _eval_point(cfg, method, rows):
+def _eval_point(cfg, method, rows, direct):
     """Records of one chunk of rows ``(x_lam, z_lam, flag)``, in row order,
-    from one rate call over all their mediator positions.
+    from one rate call over all their mediator positions with the shared
+    G_AD ``direct``.
 
     If that call raises a row error, each half of the rows is evaluated
     again in the same way, so that the error lands in the row it belongs to
@@ -110,13 +111,13 @@ def _eval_point(cfg, method, rows):
         res = rate_isotropic(cfg.d_donor, cfg.d_acceptor, cfg.donor,
                              cfg.acceptor, cfg.environment, cfg.omega,
                              mediator=mediator, method=method,
-                             rtol=cfg.quad_rtol)
+                             rtol=cfg.quad_rtol, direct=direct)
     except _ROW_ERRORS as exc:
         if len(rows) == 1:
             return [_error_record(rows[0], method, exc)]
         half = len(rows) // 2
-        return (_eval_point(cfg, method, rows[:half])
-                + _eval_point(cfg, method, rows[half:]))
+        return (_eval_point(cfg, method, rows[:half], direct)
+                + _eval_point(cfg, method, rows[half:], direct))
     return [
         RateRecord(x_m=x_lam, z_m=z_lam, gamma=gamma,
                    gamma_normalized=normalized, method=method,
@@ -146,15 +147,15 @@ def _failed_direct_leg(cfg, method, rows, exc):
 def _run(cfg, method, rows):
     """Records of all rows of one method, in order. G_AD, which every row
     shares, is evaluated first, once: if it raises a row error, every row
-    is flagged without a rate call. Otherwise the rows are evaluated in
-    contiguous chunks of at most ``_CHUNK_ROWS``, one after another."""
+    is flagged without a rate call. Otherwise the rows are evaluated with
+    it in contiguous chunks of at most ``_CHUNK_ROWS``, one after another."""
     try:
-        _direct(cfg.environment, cfg.acceptor, cfg.donor, cfg.omega, method,
-                cfg.quad_rtol)
+        direct = _direct_leg(cfg.environment, cfg.acceptor, cfg.donor,
+                             cfg.omega, method, cfg.quad_rtol)
     except _ROW_ERRORS as exc:
         return _failed_direct_leg(cfg, method, rows, exc)
-    return [rec for k in range(0, len(rows), _CHUNK_ROWS)
-            for rec in _eval_point(cfg, method, rows[k:k + _CHUNK_ROWS])]
+    return [rec for k in range(0, len(rows), _CHUNK_ROWS) for rec in
+            _eval_point(cfg, method, rows[k:k + _CHUNK_ROWS], direct)]
 
 
 def sweep_1d(cfg, spec):

@@ -38,3 +38,5 @@ def test_wavelength_roundtrip():
     assert core.wavelength(w) == pytest.approx(1e-6, rel=1e-15)
     with pytest.raises(ValueError):
         core.wavelength(-1.0)
+    with pytest.raises(ValueError):
+        core.angular_frequency(0.0)

@@ -176,6 +176,26 @@ class TestSommerfeld:
         lim = greens.halfspace_scatter_r([0, 0, z], [0, 0, z], OMEGA, mat)
         assert np.max(np.abs(full - lim)) / np.max(np.abs(lim)) < 2e-2
 
+    def test_nearly_index_matched_is_first_order_in_eps_minus_one(self):
+        """Over eps = 1 + delta the scattering tensor is delta times a
+        tensor of its own plus O(delta^2): G / delta at delta = 1e-6 and
+        1e-5 agrees with it at 1e-8 within delta (0.63 delta here) plus the
+        estimates. With k_z2 from eps k1^2 - k_par^2, whose two terms
+        cancel near k_par = k1, each of these exhausted 4000 panels."""
+        r1, r2 = np.array([0.3, 0.0, 0.2]) * LAM, np.array([0.0, 0.0, 0.1]) * LAM
+
+        def per_delta(delta):
+            eps = 1.0 + delta
+            g, err = greens.halfspace_scatter_full(r1, r2, OMEGA,
+                                                   media.Constant(eps))
+            return g / (eps - 1.0), err
+
+        ref, ref_err = per_delta(1e-8)
+        for delta in (1e-6, 1e-5):
+            g, err = per_delta(delta)
+            dev = np.max(np.abs(g - ref)) / np.max(np.abs(ref))
+            assert dev <= delta + err + ref_err
+
 
 class TestBesselKernel:
     """The numpy J0/J1/J2 kernel of the Sommerfeld integrand against
@@ -575,6 +595,17 @@ class TestBatchedSommerfeld:
         assert seeded_lo.tobytes() == grid[:, :-1].ravel().tobytes()
         assert seeded_hi.tobytes() == grid[:, 1:].ravel().tobytes()
 
+    def test_points_broadcast(self):
+        """A lone point against a batch is that point repeated, bit for
+        bit."""
+        r = np.array([0.1, 0.0, 0.3]) * LAM
+        rp = np.array([[0.0, 0.0, 0.2], [0.4, 0.1, 0.5]]) * LAM
+        mat = media.Constant(2.25)
+        got = greens.halfspace_scatter_full(r, rp, OMEGA, mat)
+        ref = greens.halfspace_scatter_full(np.broadcast_to(r, rp.shape), rp,
+                                            OMEGA, mat)
+        assert all(np.array_equal(a, b) for a, b in zip(got, ref))
+
     def test_lone_pair_in_either_shape(self):
         """A point pair of shape (1, 3) gives the tensor and the estimate of
         the same pair of shape (3,), bit for bit, and a lone geometry's
@@ -830,3 +861,18 @@ class TestDispatch:
             greens.green_total(
                 greens.Vacuum(), [0, 0, LAM], [0, 0, 0], OMEGA, part="bogus"
             )
+
+    @pytest.mark.parametrize("fn, env, method, error, match", [
+        (greens.green_scatter, greens.PerfectMirror(), "bogus", ValueError,
+         "unknown method 'bogus'"),
+        (greens.green_scatter, "halfspace", "exact", TypeError,
+         "unknown environment"),
+        (greens.green_bulk, None, "bogus", ValueError,
+         "unknown method 'bogus'"),
+    ], ids=["scatter-method", "scatter-environment", "bulk-method"])
+    def test_unknown_method_or_environment(self, fn, env, method, error,
+                                           match):
+        args = () if env is None else (env,)
+        with pytest.raises(error, match=match):
+            fn(*args, [0, 0, 0.2 * LAM], [0, 0, 0.3 * LAM], OMEGA,
+               method=method)

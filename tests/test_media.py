@@ -21,6 +21,10 @@ class TestPermittivity:
         for w in (0.5e15, 1.5e15, 3e15):
             assert media.permittivity(m, w).imag > 0.0
 
+    def test_unknown_model_rejected(self):
+        with pytest.raises(TypeError, match="permittivity model"):
+            media.permittivity(2.25, 1e15)
+
     def test_perfect_reflector_symbolic(self):
         with pytest.raises(media.SymbolicMaterialError):
             media.permittivity(media.PerfectReflector(), 1e15)

@@ -77,7 +77,9 @@ class TestSommerfeldReference:
         (media.Constant(0.5), 6),
         (media.Constant(0.5 + 0.1j), 6),
         (media.Constant(-5.0 + 0.01j), 8),  # and the plasmon pole
-    ], ids=["mirror", "dielectric", "low-index", "low-index-lossy", "metal"])
+        (media.Constant(1.0), 0),           # no reflection, no pieces
+    ], ids=["mirror", "dielectric", "low-index", "low-index-lossy", "metal",
+            "index-matched"])
     def test_pieces_are_finite_at_their_edges(self, material, pieces):
         """Each piece starts at w = 0 on an edge: a branch point, a pole or
         an end of the range. Its integrand is finite there and at
@@ -88,6 +90,23 @@ class TestSommerfeldReference:
             assert width > 0.0
             for w in (0.0, 1e-200):
                 assert np.all(np.isfinite(f(w)))
+
+    @pytest.mark.parametrize("eps", [1.0, 1.0 + 1e-4])
+    def test_nearly_index_matched(self, eps):
+        """At eps = 1 the reference is the zero tensor with a zero
+        estimate, as the evaluator's is; at 1 + 1e-4 the two agree within
+        their estimates."""
+        r1 = np.array([0.3, 0.0, 0.2]) * LAM
+        r2 = np.array([0.0, 0.0, 0.1]) * LAM
+        mat = media.Constant(eps)
+        adaptive, err = greens.halfspace_scatter_full(r1, r2, OMEGA, mat)
+        reference, ref_err = oracles.sommerfeld_reference(r1, r2, OMEGA, mat)
+        if eps == 1.0:
+            assert not np.any(reference) and ref_err == 0.0
+            assert not np.any(adaptive) and err == 0.0
+        else:
+            dev = np.max(np.abs(adaptive - reference)) / np.max(np.abs(reference))
+            assert dev <= err + ref_err
 
     @pytest.mark.xfail(strict=True, raises=AssertionError,
                        reason="the evaluator's estimate falls 3x short of "

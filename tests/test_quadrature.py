@@ -95,6 +95,15 @@ def test_initial_panels_at_breakpoints():
     assert sizes == [42]
 
 
+def test_edges_broadcast():
+    """A scalar lower edge against a sequence of upper edges is that edge
+    repeated."""
+    f = by_nodes(np.cos)
+    got = adaptive_quad_vec(f, 0.0, (1.0, 2.0))
+    assert got == adaptive_quad_vec(f, (0.0, 0.0), (1.0, 2.0))
+    assert got[0] == pytest.approx(np.sin(1.0) + np.sin(2.0), rel=1e-12)
+
+
 def test_rejects_empty_interval():
     with pytest.raises(ValueError):
         adaptive_quad_vec(by_nodes(np.cos), 1.0, 1.0)

@@ -1,6 +1,3 @@
-import sys
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -255,7 +252,6 @@ class TestCouplingTensors:
         r_d, r_a = np.array([0.0, 0.0, 0.1]) * LAM, np.array([0.3, 0.0, 0.2]) * LAM
         med = rates.Mediator(np.array([[0.5, 0.0, 0.4], [-0.6, 0.2, 0.9]]) * LAM,
                              media.StaticScalar(ALPHA))
-        rates._direct_leg.cache_clear()
         res, vac = (rates.rate_isotropic(D1, D1, r_d, r_a, env, OMEGA,
                                          mediator=med, method="exact")
                     for env in (greens.HalfSpace(media.Constant(eps)),
@@ -277,97 +273,89 @@ class TestCouplingTensors:
                     for e_i in basis for e_j in basis)
         assert iso.gamma == pytest.approx(total / 9.0, rel=1e-12, abs=0.0)
 
+    @pytest.mark.parametrize("env", [greens.PerfectMirror(), DIELECTRIC])
+    def test_oriented_batch_equals_loop(self, env):
+        """N mediator positions give arrays of length N, matrix elements
+        included: over the mirror the rows of a per-position loop, over a
+        dielectric, whose batch shares one panel set, the same within the
+        summed estimates."""
+        r_d, r_a, r_m = (p * LAM for p in self.OFF_AXIS[0])
+        positions = np.array([r_m, r_m + [0.2 * LAM, 0.0, 0.3 * LAM], 2 * r_m])
+        donor, acceptor = dip(r_d, [D1, 0.0, 0.5 * D1]), dip(r_a, [0.0, D1, D1])
 
-class TestDirectLegMemo:
-    """G_AD is memoised per donor-acceptor pair; a hit must equal a fresh
-    evaluation and a changed input must never hit."""
+        def rate(pos):
+            return rates.rate_oriented(
+                donor, acceptor, env, OMEGA, method="exact",
+                mediator=rates.Mediator(pos, media.StaticScalar(ALPHA)))
+
+        batch, loop = rate(positions), [rate(pos) for pos in positions]
+        keys = ("gamma", "gamma_normalized", "error_estimate",
+                "matrix_element_direct", "matrix_element_indirect")
+        got = {key: getattr(batch, key) for key in keys}
+        ref = {key: np.array([getattr(r, key) for r in loop]) for key in keys}
+        assert all(np.shape(v) == (3,) for v in got.values())
+        assert np.array_equal(got["matrix_element_direct"],
+                              ref["matrix_element_direct"])
+        if env is DIELECTRIC:
+            est = got["error_estimate"] + ref["error_estimate"]
+            total = ref["matrix_element_direct"] - ref["matrix_element_indirect"]
+            for key in ("gamma", "gamma_normalized"):
+                assert np.all(np.abs(got[key] - ref[key]) <= est * ref[key])
+            assert np.all(np.abs(got["matrix_element_indirect"]
+                                 - ref["matrix_element_indirect"])
+                          <= est * np.abs(total))
+        else:
+            assert all(np.array_equal(got[key], ref[key]) for key in got)
+
+
+class TestDirectLeg:
+    """A rate evaluates G_AD in a tensor call of its own, or takes it as
+    ``direct`` from a caller that holds it, and keeps nothing between
+    calls."""
 
     R_D, R_A, R_M = (np.array([0.1, 0.0, 0.05]) * LAM,
                      np.array([-0.05, 0.1, 0.12]) * LAM,
                      np.array([0.8, -0.2, 0.9]) * LAM)
 
-    def rate(self, r_d, rtol):
+    def test_no_state_between_rates(self, sommerfeld_geometries):
+        """A repeated rate evaluates G_AD alone, then G_AM and G_MD in one
+        call, again, and gives the same result."""
         med = rates.Mediator(self.R_M, media.StaticScalar(ALPHA))
-        return rates.rate_isotropic(D1, D1, r_d, self.R_A, DIELECTRIC, OMEGA,
-                                    mediator=med, method="exact", rtol=rtol)
+        first, again = (rates.rate_isotropic(D1, D1, self.R_D, self.R_A,
+                                             DIELECTRIC, OMEGA, mediator=med)
+                        for _ in range(2))
+        assert again == first
+        assert [len(call) for call in sommerfeld_geometries] == [1, 2, 1, 2]
+        assert sommerfeld_geometries[0] == [(tuple(self.R_A), tuple(self.R_D))]
 
-    def test_no_stale_hits(self, sommerfeld_geometries):
-        def evaluated():
-            return sum(len(call) for call in sommerfeld_geometries)
-
-        rates._direct_leg.cache_clear()
-        first = self.rate(self.R_D, 1e-9)
-        assert evaluated() == 3
-        assert self.rate(self.R_D, 1e-9) == first  # hit: G_AM, G_MD only
-        assert evaluated() == 5
-        # a miss evaluates G_AD on its own, then G_AM and G_MD in one call
-        assert [len(call) for call in sommerfeld_geometries] == [1, 2, 2]
-        moved = self.R_D + np.array([0.01, 0.0, 0.0]) * LAM
-        for r_d, rtol in ((moved, 1e-9), (self.R_D, 1e-10)):
-            before = evaluated()
-            got = self.rate(r_d, rtol)
-            assert evaluated() - before == 3
-            rates._direct_leg.cache_clear()
-            assert got == self.rate(r_d, rtol)
+    @pytest.mark.parametrize("env", [greens.Vacuum(), greens.PerfectMirror(),
+                                     DIELECTRIC, LOSSY_METAL])
+    @pytest.mark.parametrize("method", ["exact", "limits"])
+    def test_rate_with_direct_equals_rate_without(self, env, method):
+        """Bit for bit, without a mediator, with one and with a batch; the
+        limits are taken on axis, where they hold."""
+        r_d, r_a, r_m = self.R_D, self.R_A, self.R_M
+        if method == "limits":
+            r_d, r_a, r_m = (r * [0.0, 0.0, 1.0] for r in (r_d, r_a, r_m))
+        direct = rates._direct_leg(env, r_a, r_d, OMEGA, method, 1e-9)
+        for med in (None, rates.Mediator(r_m, media.StaticScalar(ALPHA)),
+                    rates.Mediator(np.array([r_m, 2.0 * r_m]),
+                                   media.StaticScalar(ALPHA))):
+            got, ref = (rates.rate_isotropic(D1, D1, r_d, r_a, env, OMEGA,
+                                             mediator=med, method=method,
+                                             direct=d)
+                        for d in (direct, None))
+            for key in ("gamma", "gamma_normalized", "error_estimate"):
+                assert np.array_equal(getattr(got, key), getattr(ref, key))
 
     def test_direct_leg_from_a_batch_equals_lone(self):
-        """G_AD kept by a mediated rate is the tensor a mediator-free
-        evaluation gives, bit for bit: it is always evaluated alone."""
-        rates._direct_leg.cache_clear()
-        self.rate(self.R_D, 1e-9)
-        kept, _, err = rates._coupling(DIELECTRIC, self.R_A, self.R_D, OMEGA,
-                                       method="exact")
-        assert rates._direct_leg.cache_info()[:2] == (1, 1)  # (hits, misses)
-        rates._direct_leg.cache_clear()
-        lone, _, lone_err = rates._coupling(DIELECTRIC, self.R_A, self.R_D,
-                                            OMEGA, method="exact")
-        assert rates._direct_leg.cache_info()[:2] == (0, 1)
-        assert np.array_equal(kept, lone) and err == lone_err
-
-    def test_cached_tensor_is_read_only(self):
-        g_ad = rates._coupling(DIELECTRIC, self.R_A, self.R_D, OMEGA)[0]
-        with pytest.raises(ValueError):
-            g_ad[0, 0] = 0.0
-
-    def test_threads_share_the_memo(self):
-        """Four threads reading and evicting twelve pairs through the
-        eight-entry memo by rate calls: the memo stays bounded and every
-        G_AD equals a fresh evaluation. Even pairs come with a mediator, odd
-        pairs without."""
-        env = greens.PerfectMirror()
-        donors = [self.R_D + np.array([0.01 * k, 0.0, 0.0]) * LAM
-                  for k in range(12)]
+        """G_AD of a mediated batch is the tensor a mediator-free evaluation
+        gives, bit for bit: it is always evaluated alone."""
         med = rates.Mediator(np.array([self.R_M, 2.0 * self.R_M]),
                              media.StaticScalar(ALPHA))
-
-        def g_ad(k):
-            return rates._coupling(env, self.R_A, donors[k], OMEGA,
-                                   mediator=None if k % 2 else med,
-                                   method="exact")[0]
-
-        fresh = []
-        for k in range(len(donors)):
-            rates._direct_leg.cache_clear()
-            fresh.append(g_ad(k))
-
-        def work(seed):
-            order = np.random.default_rng(seed).integers(len(donors), size=1000)
-            for k in order:
-                assert np.array_equal(g_ad(k), fresh[k])
-            return len(order)
-
-        rates._direct_leg.cache_clear()
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with ThreadPoolExecutor(max_workers=4) as pool:
-                futures = [pool.submit(work, seed) for seed in range(4)]
-                done = [f.result(timeout=60) for f in futures]
-        finally:
-            sys.setswitchinterval(interval)
-        assert done == [1000] * 4
-        info = rates._direct_leg.cache_info()
-        assert info.currsize <= info.maxsize == 8 and info.misses > 12
+        kept = rates._coupling(DIELECTRIC, self.R_A, self.R_D, OMEGA, med)[0]
+        lone = rates._coupling(DIELECTRIC, self.R_A, self.R_D, OMEGA)[0]
+        assert np.array_equal(kept, lone)
 
 
 class TestGuards:
@@ -406,6 +394,10 @@ class TestGuards:
         with pytest.raises(ValueError, match="method"):
             rates.rate_oriented(dip(r_d, [D1, 0, 0]), dip(r_a, [D1, 0, 0]),
                                 greens.PerfectMirror(), OMEGA, method=method)
+
+    def test_forster_needs_a_positive_separation(self):
+        with pytest.raises(ValueError, match="separation"):
+            rates.forster_vacuum(0.0, D1, D1)
 
     def test_nonpositive_magnitude(self):
         with pytest.raises(ValueError):

@@ -73,6 +73,29 @@ class TestConfig:
             for field in ("gamma", "gamma_normalized", "error_estimate"):
                 assert np.array_equal(getattr(a, field), getattr(b, field))
 
+    def test_parse_vacuum(self, tmp_path):
+        cfg = config.load_config(write_config(tmp_path, {
+            "environment": {"type": "vacuum"}}))
+        assert cfg.environment == greens.Vacuum()
+
+    @pytest.mark.parametrize("overrides, match", [
+        ({"environment": {"type": "slab"}}, "unknown environment type 'slab'"),
+        (halfspace(type="lorentz"), "unknown permittivity type 'lorentz'"),
+        ({"environment": {"permittivity": {"type": "constant"}}},
+         "missing required field 'type' in environment"),
+        ({"environment": {"type": "halfspace"}},
+         "missing required field 'permittivity'"),
+    ], ids=["environment-type", "permittivity-type", "environment-field",
+            "permittivity-field"])
+    def test_unknown_or_missing_names_the_field(self, tmp_path, overrides,
+                                                match):
+        with pytest.raises(config.ConfigError, match=match):
+            config.load_config(write_config(tmp_path, overrides))
+
+    def test_unreadable_config(self, tmp_path):
+        with pytest.raises(config.ConfigError, match="cannot read config"):
+            config.load_config(str(tmp_path / "absent.json"))
+
     def test_parse_omega(self, tmp_path):
         p = write_config(tmp_path, {"omega_d": 1.5e15})
         cfg = config.load_config(p)
@@ -213,6 +236,8 @@ class TestSweep:
         cfg = config.load_config(str(path))
         with pytest.raises(config.ConfigError, match="mediator"):
             sweep.sweep_1d(cfg, sweep.OneDSweep(1.0, 2.0, 3))
+        with pytest.raises(config.ConfigError, match="mediator"):
+            sweep.sweep_2d(cfg, sweep.TwoDSweep(-1.0, 1.0, 1.0, 2.0, 2, 2))
 
     def test_sweep_2d_clip_flag(self, tmp_path):
         cfg = config.load_config(write_config(tmp_path))
@@ -264,25 +289,9 @@ class TestSweep:
         with pytest.raises(TypeError):
             sweep.sweep_1d(cfg, sweep.OneDSweep(1.0, 2.0, 3))
 
-    def test_memo_determinism(self, tmp_path, monkeypatch):
-        """A sweep of chunks over a dielectric, both methods, writes the
-        same bytes with an empty G_AD memo and with the memo it left."""
-        monkeypatch.setattr(sweep, "_CHUNK_ROWS", 4)
-        cfg = config.load_config(write_config(tmp_path, DIELECTRIC))
-        spec = sweep.OneDSweep(0.6, 2.0, 7, methods=("limits", "exact"))
-        rates._direct_leg.cache_clear()
-        paths = []
-        for name in ("cold.csv", "warm.csv"):
-            paths.append(tmp_path / name)
-            sweep.emit(sweep.sweep_1d(cfg, spec), "csv", str(paths[-1]),
-                       metadata={"k": "v"})
-        assert rates._direct_leg.cache_info().misses == 2  # one per method
-        assert paths[0].read_bytes() == paths[1].read_bytes()
-
     def test_direct_leg_once_per_pair(self, tmp_path, sommerfeld_geometries):
         """A map evaluates G_AD once, then G_AM and G_MD for each row,
         counted as geometries: one tensor call may evaluate many."""
-        rates._direct_leg.cache_clear()
         cfg = config.load_config(write_config(tmp_path, DIELECTRIC))
         spec = sweep.TwoDSweep(-1.0, 1.0, 1.0, 2.0, 3, 2)
         recs = sweep.sweep_2d(cfg, spec)
@@ -313,14 +322,11 @@ class TestSweep:
                 assert abs(x - y) <= cfg.quad_rtol * abs(y)
 
     def test_map_worker_determinism(self, tmp_path, monkeypatch):
-        """Map CSVs are byte-identical whatever --workers says, with an
-        empty or a filled G_AD memo. Chunks of 4 rows make 3 chunks; one
-        12-row chunk agrees within quad_rtol."""
+        """Map CSVs are byte-identical whatever --workers says. Chunks of 4
+        rows make 3 chunks; one 12-row chunk agrees within quad_rtol."""
         p = write_config(tmp_path, DIELECTRIC)
 
-        def run(workers, cold=True):
-            if cold:
-                rates._direct_leg.cache_clear()
+        def run(workers):
             out = tmp_path / f"map-w{workers}.csv"
             rc = cli.main(["map", "--config", p, "--xmin", "-1.0", "--xmax",
                            "1.0", "--zmin", "0.6", "--zmax", "2.0", "--nx",
@@ -332,20 +338,17 @@ class TestSweep:
         one_chunk = run(1)
         monkeypatch.setattr(sweep, "_CHUNK_ROWS", 4)
         chunked = run(1)
-        assert chunked == run(2, cold=False) == run(3)
+        assert chunked == run(2) == run(3)
         self.assert_within_quad_rtol(chunked, one_chunk, config.load_config(p),
                                      tmp_path)
 
     def test_sweep_z_worker_determinism(self, tmp_path, monkeypatch):
         """sweep-z over a dielectric, both methods: chunks of 4 rows, two
-        per method, write the same bytes whatever --workers says, with an
-        empty or a filled G_AD memo, and agree with one 7-row chunk per
-        method within quad_rtol."""
+        per method, write the same bytes whatever --workers says, and agree
+        with one 7-row chunk per method within quad_rtol."""
         p = write_config(tmp_path, DIELECTRIC)
 
-        def run(workers, cold=True):
-            if cold:
-                rates._direct_leg.cache_clear()
+        def run(workers):
             out = tmp_path / f"z-w{workers}.csv"
             rc = cli.main(["sweep-z", "--config", p, "--zmin", "0.6", "--zmax",
                            "2.0", "--steps", "7", "--method", "both", "--out",
@@ -356,24 +359,9 @@ class TestSweep:
         one_chunk = run(1)
         monkeypatch.setattr(sweep, "_CHUNK_ROWS", 4)
         chunked = run(1)
-        assert chunked == run(2, cold=False) == run(3)
+        assert chunked == run(2) == run(3)
         self.assert_within_quad_rtol(chunked, one_chunk, config.load_config(p),
                                      tmp_path)
-
-    def test_lone_direct_leg_leaves_sweeps_unchanged(self, tmp_path):
-        """A mediator-free rate fills the G_AD memo; an exact sweep that then
-        hits it gives the records of a sweep with an empty memo, since G_AD
-        is always evaluated on its own."""
-        cfg = config.load_config(write_config(tmp_path, DIELECTRIC))
-        spec = sweep.OneDSweep(0.6, 2.0, 9, methods=("exact",))
-        rates._direct_leg.cache_clear()
-        rates.rate_isotropic(cfg.d_donor, cfg.d_acceptor, cfg.donor,
-                             cfg.acceptor, cfg.environment, cfg.omega,
-                             method="exact", rtol=cfg.quad_rtol)
-        assert rates._direct_leg.cache_info().currsize == 1
-        warm = sweep.sweep_1d(cfg, spec)
-        rates._direct_leg.cache_clear()
-        assert sweep.sweep_1d(cfg, spec) == warm
 
     def test_direct_leg_once_per_thread(self, tmp_path, monkeypatch,
                                         sommerfeld_geometries):
@@ -384,7 +372,6 @@ class TestSweep:
         cfg = config.load_config(p)
         r_a, r_d = tuple(cfg.acceptor), tuple(cfg.donor)
         for workers in ("1", "2"):
-            rates._direct_leg.cache_clear()
             sommerfeld_geometries.clear()
             out = tmp_path / f"map-w{workers}.csv"
             assert cli.main(["map", "--config", p, "--xmin", "-1.0", "--xmax",
@@ -410,7 +397,6 @@ class TestSweep:
 
         monkeypatch.setattr(greens, "_sommerfeld_run", recording)
         cfg = config.load_config(write_config(tmp_path, DIELECTRIC))
-        rates._direct_leg.cache_clear()
         recs = sweep.sweep_2d(cfg, sweep.TwoDSweep(0.3, 2.0, 0.6, 2.0, 13, 11))
         assert all(np.isfinite(r.gamma) for r in recs)
         assert len(batches) == 1 + -(-len(recs) // 12)
@@ -438,11 +424,13 @@ class TestSweep:
         z_d = cfg.donor[2] / cfg.lambda_d
         rows = [(x, z, "") for x, z in
                 ((-1.0, 1.0), (0.0, z_d + 5e-5), (0.5, 2.0), (1.0, 0.6))]
-        recs = sweep._eval_point(cfg, "exact", rows)
+        direct = rates._direct_leg(cfg.environment, cfg.acceptor, cfg.donor,
+                                   cfg.omega, "exact", cfg.quad_rtol)
+        recs = sweep._eval_point(cfg, "exact", rows, direct)
         assert calls == [4, 2, 1, 1, 2]
         assert recs[1].flag == "error:GeometryError" and np.isnan(recs[1].gamma)
         for k in (0, 2, 3):
-            alone, = sweep._eval_point(cfg, "exact", [rows[k]])
+            alone, = sweep._eval_point(cfg, "exact", [rows[k]], direct)
             assert recs[k].flag == "" and np.isfinite(recs[k].gamma)
             for key in ("gamma", "gamma_normalized"):
                 got, ref = getattr(recs[k], key), getattr(alone, key)
@@ -487,7 +475,6 @@ class TestSweep:
                                              omega_p=4.7e15, omega_0=0.0))
         cfg = config.load_config(p)
         z_a = float(cfg.acceptor[2] / cfg.lambda_d)
-        rates._direct_leg.cache_clear()
         out = tmp_path / "lossless.csv"
         assert cli.main(["map", "--config", p, "--xmin", "-0.3", "--xmax",
                          "0.0", "--zmin", repr(z_a), "--zmax",
@@ -588,8 +575,25 @@ class TestSweep:
     def test_bad_spec(self):
         with pytest.raises(ValueError):
             sweep.OneDSweep(2.0, 1.0, 5)
+        with pytest.raises(ValueError, match="at least 2 steps"):
+            sweep.OneDSweep(1.0, 2.0, 1)
         with pytest.raises(ValueError):
             sweep.TwoDSweep(0.0, 1.0, 0.0, 1.0, 1, 5)
+        for bounds in ((1.0, 0.0, 0.0, 1.0), (0.0, 1.0, 1.0, 1.0)):
+            with pytest.raises(ValueError, match="min < max"):
+                sweep.TwoDSweep(*bounds, 2, 2)
+
+    @pytest.mark.parametrize("records, fmt, path, error, match", [
+        ([], "csv", "out.csv", ValueError, "no records"),
+        (None, "xml", "out.xml", ValueError, "unknown format 'xml'"),
+        (None, "csv", "absent/out.csv", OSError, "cannot write"),
+        (None, "json", "absent/out.json", OSError, "cannot write"),
+    ], ids=["no-records", "unknown-format", "csv-path", "json-path"])
+    def test_emit_errors(self, tmp_path, records, fmt, path, error, match):
+        if records is None:
+            records = [sweep.RateRecord(0.0, 1.0, 2.0, 3.0, "exact", 0.0)]
+        with pytest.raises(error, match=match):
+            sweep.emit(records, fmt, str(tmp_path / path))
 
     def test_non_finite_bounds(self):
         nan, inf = float("nan"), float("inf")
@@ -679,6 +683,14 @@ class TestCli:
             assert "--workers" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_workers_must_be_an_integer(self, tmp_path, capsys):
+        with pytest.raises(SystemExit):
+            cli.main(["map", "--config", write_config(tmp_path), "--xmin",
+                      "-0.5", "--xmax", "0.5", "--zmin", "0.5", "--zmax",
+                      "1.5", "--nx", "2", "--nz", "2", "--out",
+                      str(tmp_path / "map.csv"), "--workers", "1.5"])
+        assert "invalid int value: '1.5'" in capsys.readouterr().err
+
     def test_parser_is_built_once(self, tmp_path, capsys):
         """main reuses one parser: each call still gets its own defaults,
         and an argparse error leaves the next call unaffected."""
@@ -718,6 +730,31 @@ class TestCli:
             outs.append(capsys.readouterr().out)
         assert outs[0] == outs[1]
 
+    def test_green_command_vacuum(self, capsys):
+        """Over vacuum the scattering part is zero and the total tensor is
+        the bulk one."""
+        points = ["--rx", "0.1", "--rz", "0.3", "--rpx", "0.0", "--rpz", "0.5"]
+        outs = []
+        for args in (["--env", "vacuum", "--part", "scatter"],
+                     ["--env", "vacuum"], ["--env", "mirror", "--part", "bulk"]):
+            assert cli.main(["green", *args, *points]) == 0
+            outs.append(capsys.readouterr().out)
+        assert set(outs[0].split()) == {"+0.000000000e+00+0.000000000e+00j"}
+        assert outs[1] == outs[2]
+
+    def test_green_command_nearly_index_matched(self, capsys):
+        """eps = 1 + 1e-5 gives a scattering tensor of order 1e-5 of the
+        bulk one; it used to exhaust the panel budget."""
+        points = ["--rx", "0.3", "--rz", "0.2", "--rpx", "0", "--rpz", "0.1"]
+        tensors = []
+        for args in (["--env", "halfspace", "--eps", "1.00001",
+                      "--part", "scatter"], ["--env", "vacuum"]):
+            assert cli.main(["green", *args, *points]) == 0
+            tensors.append(np.array([complex(v) for v in
+                                     capsys.readouterr().out.split()]))
+        ratio = np.abs(tensors[0]).max() / np.abs(tensors[1]).max()
+        assert 1e-7 < ratio < 1e-4
+
     @pytest.mark.parametrize("env", ["vacuum", "mirror"])
     def test_green_command_rejects_eps_without_halfspace(self, env, capsys):
         """--eps belongs to --env halfspace; with the other environments it
@@ -735,6 +772,16 @@ class TestCli:
         assert rc == 0
         doc = json.loads(Path(report).read_text())
         assert all(entry["passed"] for entry in doc)
+
+    def test_verify_command_fails_on_a_failed_report(self, monkeypatch,
+                                                     capsys):
+        from mqret import oracles
+
+        monkeypatch.setattr(oracles, "run_verification", lambda: [
+            oracles.OracleReport(name="good", passed=True),
+            oracles.OracleReport(name="bad", rel_error=2.0, tolerance=1.0)])
+        assert cli.main(["verify"]) == 1
+        assert "FAIL  bad" in capsys.readouterr().out
 
     def test_bad_config_is_diagnosed(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
