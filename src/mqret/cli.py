@@ -58,25 +58,25 @@ def _cmd_rate(args):
     return 0
 
 
+def _write(records, cfg, args):
+    emit(records, args.format, args.out, metadata=_metadata(cfg))
+    print(f"wrote {len(records)} records to {args.out}")
+    return 0
+
+
 def _cmd_sweep_z(args):
     cfg = load_config(args.config)
     methods = ("limits", "exact") if args.method == "both" else (args.method,)
     spec = OneDSweep(z_min=args.zmin, z_max=args.zmax, steps=args.steps,
                      methods=methods)
-    records = sweep_1d(cfg, spec)
-    emit(records, args.format, args.out, metadata=_metadata(cfg))
-    print(f"wrote {len(records)} records to {args.out}")
-    return 0
+    return _write(sweep_1d(cfg, spec), cfg, args)
 
 
 def _cmd_map(args):
     cfg = load_config(args.config)
     spec = TwoDSweep(x_min=args.xmin, x_max=args.xmax, z_min=args.zmin,
                      z_max=args.zmax, nx=args.nx, nz=args.nz)
-    records = sweep_2d(cfg, spec)
-    emit(records, args.format, args.out, metadata=_metadata(cfg))
-    print(f"wrote {len(records)} records to {args.out}")
-    return 0
+    return _write(sweep_2d(cfg, spec), cfg, args)
 
 
 def _cmd_green(args):
@@ -109,18 +109,15 @@ def _cmd_verify(args):
     from .oracles import run_verification
 
     reports = run_verification()
-    failures = 0
     for rep in reports:
         status = "PASS" if rep.passed else "FAIL"
-        if not rep.passed:
-            failures += 1
         print(f"{status}  {rep.name:38s} rel_error={rep.rel_error:.3e} "
               f"tol={rep.tolerance:.1e}")
     if args.json:
         with open(args.json, "w") as fh:
             json.dump([rep.to_dict() for rep in reports], fh, indent=1)
             fh.write("\n")
-    return 1 if failures else 0
+    return 0 if all(rep.passed for rep in reports) else 1
 
 
 def _worker_count(text):
@@ -144,37 +141,37 @@ def _parser():
                     "energy transfer rates.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # flags shared by subcommands, declared once
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", required=True)
+    sweep = argparse.ArgumentParser(add_help=False, parents=[config])
+    sweep.add_argument("--out", required=True)
+    sweep.add_argument("--format", choices=("csv", "json"), default="csv")
+    sweep.add_argument("--workers", type=_worker_count, default=1,
+                       help="accepted but ignored: a sweep runs on one thread")
 
-    p = sub.add_parser("rate", help="single-point rate from a config file")
-    p.add_argument("--config", required=True)
+    p = sub.add_parser("rate", parents=[config],
+                       help="single-point rate from a config file")
     p.set_defaults(func=_cmd_rate)
 
-    p = sub.add_parser("sweep-z", help="1-D mediator sweep along z")
-    p.add_argument("--config", required=True)
+    p = sub.add_parser("sweep-z", parents=[sweep],
+                       help="1-D mediator sweep along z")
     p.add_argument("--zmin", type=float, required=True,
                    help="mediator z minimum, lambda_D units")
     p.add_argument("--zmax", type=float, required=True)
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--method", choices=("limits", "exact", "both"),
                    default="both")
-    p.add_argument("--out", required=True)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--workers", type=_worker_count, default=1,
-                   help="accepted but ignored: a sweep runs on one thread")
     p.set_defaults(func=_cmd_sweep_z)
 
-    p = sub.add_parser("map", help="2-D mediator map in the x-z plane")
-    p.add_argument("--config", required=True)
+    p = sub.add_parser("map", parents=[sweep],
+                       help="2-D mediator map in the x-z plane")
     p.add_argument("--xmin", type=float, required=True)
     p.add_argument("--xmax", type=float, required=True)
     p.add_argument("--zmin", type=float, required=True)
     p.add_argument("--zmax", type=float, required=True)
     p.add_argument("--nx", type=int, required=True)
     p.add_argument("--nz", type=int, required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--workers", type=_worker_count, default=1,
-                   help="accepted but ignored: a sweep runs on one thread")
     p.set_defaults(func=_cmd_map)
 
     p = sub.add_parser("green", help="debug-print one Green's tensor")

@@ -13,7 +13,7 @@ import numpy as np
 
 from .core import C, DEBYE, EPS0, angular_frequency
 from .greens import HalfSpace, PerfectMirror, Vacuum
-from .media import Constant, DrudeLorentz
+from .media import Constant, DrudeLorentz, permittivity
 
 
 class ConfigError(ValueError):
@@ -51,12 +51,14 @@ def _require(data, key, context):
 
 
 def _number(value, name, kind=float):
-    """``value`` as ``kind``, or a ConfigError naming the field. JSON true
-    and false are not numbers, though Python reads them as 1 and 0."""
-    if not isinstance(value, bool):
+    """``value`` as ``kind``, or a ConfigError naming the field. Only JSON
+    numbers are numbers, not true, false (to Python 1 and 0) or "1e-6";
+    a complex ``kind`` also takes a string such as "2.25+0.1j"."""
+    is_number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if is_number or (kind is complex and isinstance(value, str)):
         try:
             return kind(value)
-        except (TypeError, ValueError):
+        except (ValueError, OverflowError):
             pass
     raise ConfigError(f"{name} must be a number, not {value!r}")
 
@@ -70,7 +72,7 @@ def _finite(perm, key, kind=float, default=None):
     return value
 
 
-def _parse_environment(data):
+def _parse_environment(data, omega):
     kind = _require(data, "type", "environment")
     if kind == "vacuum":
         return Vacuum()
@@ -82,11 +84,19 @@ def _parse_environment(data):
         if pkind == "constant":
             return HalfSpace(Constant(_finite(perm, "value", complex)))
         if pkind == "drude_lorentz":
-            return HalfSpace(DrudeLorentz(
+            metal = DrudeLorentz(
                 omega_p=_finite(perm, "omega_p"),
                 omega_0=_finite(perm, "omega_0"),
                 gamma=_finite(perm, "gamma", default=0.0),
-            ))
+            )
+            try:   # a lossless resonance divides by zero
+                if np.isfinite(permittivity(metal, omega)):
+                    return HalfSpace(metal)
+            except (ZeroDivisionError, OverflowError):
+                pass
+            raise ConfigError("permittivity omega_p, omega_0 and gamma give "
+                              "no finite permittivity at omega_d, as omega_0 "
+                              "at omega_d with gamma 0 does")
         if pkind == "perfect":
             return PerfectMirror()
         raise ConfigError(f"unknown permittivity type '{pkind}'")
@@ -114,7 +124,7 @@ def parse_config(data):
     else:
         raise ConfigError("config must set 'omega_d' (rad/s) or 'lambda_d_m'")
 
-    env = _parse_environment(_require(data, "environment", "config"))
+    env = _parse_environment(_require(data, "environment", "config"), omega)
     donor = _parse_body(_require(data, "donor", "config"), "donor", lambda_d)
     acceptor = _parse_body(_require(data, "acceptor", "config"), "acceptor",
                            lambda_d)

@@ -523,7 +523,7 @@ def _seeded_edges(lo, hi):
     return grid[:, :-1].ravel(), grid[:, 1:].ravel()
 
 
-def _sommerfeld_run(terms, material, omega, t_b, rtol, atol, max_panels):
+def _sommerfeld_run(terms, material, omega, t_b, rtol, atol):
     """Components (xx, yy, zz, xz) of the geometries of one shared
     adaptive run, shape (n, 4), and their error estimates.
 
@@ -578,12 +578,10 @@ def _sommerfeld_run(terms, material, omega, t_b, rtol, atol, max_panels):
                 n_pan, 2, n_geo, 4)
         return _components(sums).transpose(1, 0, 2, 3)
 
-    return adaptive_quad_vec(integrand, *edges, rtol=rtol, atol=atol,
-                             max_panels=max_panels)
+    return adaptive_quad_vec(integrand, *edges, rtol=rtol, atol=atol)
 
 
-def halfspace_scatter_full(r, r_prime, omega, material, rtol=1e-9,
-                           max_panels=4000, atol=0.0):
+def halfspace_scatter_full(r, r_prime, omega, material, rtol=1e-9, atol=0.0):
     """Full scattering Green's tensor of the half-space.
 
     Angular-spectrum integral over k_par with the azimuthal integration done
@@ -662,7 +660,7 @@ def halfspace_scatter_full(r, r_prime, omega, material, rtol=1e-9,
 
     def run(block_terms, block_atol):
         return _sommerfeld_run(block_terms, material, omega, t_b, rtol,
-                               block_atol, max_panels)
+                               block_atol)
 
     terms = _distinct_terms(z_sum, lateral)
     if _shares_terms(terms):
@@ -727,12 +725,12 @@ def green_bulk(r, r_prime, omega, method="exact", include_phase=True):
     raise ValueError(f"unknown method {method!r}")
 
 
-def green_total(env, r, r_prime, omega, part="total", method="exact",
-                rtol=1e-9):
+def green_total(env, r, r_prime, omega, part="total", method="exact"):
     """Total (bulk + scattering) Green's tensor.
 
     ``part``: "bulk", "scatter" or "total". For a vacuum environment the
-    scattering part is the zero tensor.
+    scattering part is the zero tensor; a Sommerfeld scattering part is
+    integrated to the default tolerance of :func:`green_scatter`.
     """
     if part not in ("bulk", "scatter", "total"):
         raise ValueError(f"unknown part {part!r}")
@@ -740,6 +738,6 @@ def green_total(env, r, r_prime, omega, part="total", method="exact",
     if part in ("bulk", "total"):
         g = g + green_bulk(r, r_prime, omega, method=method)
     if part in ("scatter", "total"):
-        gs, _ = green_scatter(env, r, r_prime, omega, method=method, rtol=rtol)
+        gs, _ = green_scatter(env, r, r_prime, omega, method=method)
         g = g + gs
     return g

@@ -71,8 +71,8 @@ RULES[1, 1::2] = _WG
 # (QUADPACK's qk21 floors a panel's error at 50 eps sum |w f|)
 _NOISE = 50.0 * np.finfo(float).eps
 
-# lone panel budgets that a shared panel set may hold
-_SHARED_BUDGETS = 4
+_MAX_PANELS = 4000    # panels that one integral may hold
+_SHARED_BUDGETS = 4   # lone budgets that a shared panel set may hold
 
 
 def _panels(f, lo, hi):
@@ -100,7 +100,7 @@ def _panels(f, lo, hi):
         return kron, np.abs(kron - h * sums[1])
 
 
-def adaptive_quad_vec(f, a, b, rtol=1e-9, atol=0.0, max_panels=4000):
+def adaptive_quad_vec(f, a, b, rtol=1e-9, atol=0.0):
     """Integrate ``f`` over [a, b].
 
     ``f`` maps a 1-D array of abscissae, 21 per panel and panel after
@@ -122,7 +122,7 @@ def adaptive_quad_vec(f, a, b, rtol=1e-9, atol=0.0, max_panels=4000):
     ``atol + rtol * max|integral|``; ``atol`` is one value for all or, with
     S = (N, m), one per integral (shape (N,)), so that an integral whose
     absolute error is allowed to be large stops while its neighbours
-    refine. The run holds at most ``max_panels``
+    refine. The run holds at most ``_MAX_PANELS`` = 4,000
     panels for one integral, and min(N, ``_SHARED_BUDGETS``) = min(N, 4)
     times as many for N integrals, whose union may need more panels than
     any one of them alone. :class:`QuadratureError`, carrying the relative
@@ -154,7 +154,7 @@ def adaptive_quad_vec(f, a, b, rtol=1e-9, atol=0.0, max_panels=4000):
     atol = np.asarray(atol, dtype=float)
     if atol.shape != (n_int,):
         atol = np.broadcast_to(atol, (n_int,))
-    budget = max_panels * min(n_int, _SHARED_BUDGETS)
+    budget = _MAX_PANELS * min(n_int, _SHARED_BUDGETS)
     # val, err, atol and prev hold the unconverged integrals only. Until
     # the first of them converges they are all of them, and rows is None;
     # then rows maps each to its row of the output out_val, out_err.

@@ -219,32 +219,25 @@ def emit(records, fmt, path, metadata=None):
             if any(c in text for c in ',"\r\n'):
                 raise ValueError(f"CSV field {text!r} holds a comma, a double "
                                  f"quote or a line break")
-        body = "".join(
+        content = "".join(f"# {key} = {metadata[key]}\n"
+                          for key in sorted(metadata or {}))
+        content += ",".join(CSV_HEADER) + "\r\n" + "".join(
             f"{float(rec.x_m)!r},{float(rec.z_m)!r},{float(rec.gamma)!r},"
             f"{float(rec.gamma_normalized)!r},{rec.method},"
             f"{float(rec.error_estimate)!r},{rec.flag}\r\n"
             for rec in records)
-        try:
-            with open(path, "w", newline="") as fh:
-                if metadata:
-                    for key in sorted(metadata):
-                        fh.write(f"# {key} = {metadata[key]}\n")
-                fh.write(",".join(CSV_HEADER) + "\r\n")
-                fh.write(body)
-        except OSError as exc:
-            raise OSError(f"cannot write '{path}': {exc}") from exc
     elif fmt == "json":
         rows = [{key: None if isinstance(v, float) and not math.isfinite(v)
                  else v for key, v in vars(rec).items()} for rec in records]
         doc = {"metadata": metadata or {}, "records": rows}
-        try:
-            with open(path, "w") as fh:
-                json.dump(doc, fh, indent=1)
-                fh.write("\n")
-        except OSError as exc:
-            raise OSError(f"cannot write '{path}': {exc}") from exc
+        content = json.dumps(doc, indent=1) + "\n"
     else:
         raise ValueError(f"unknown format '{fmt}'")
+    try:
+        with open(path, "w", newline="") as fh:
+            fh.write(content)
+    except OSError as exc:
+        raise OSError(f"cannot write '{path}': {exc}") from exc
 
 
 def read_csv(path):

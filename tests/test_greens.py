@@ -469,11 +469,15 @@ class TestBatchedSommerfeld:
         mat = self.LOSSY_METAL if lossy_metal else media.Constant(2.25)
         assert_batch_within_tolerance(r, rp, mat, 1e-9)
 
-    def test_hard_near_surface_batch_shares_a_larger_budget(self):
+    def test_hard_near_surface_batch_shares_a_larger_budget(self,
+                                                            monkeypatch):
         """Near-surface pairs at rho/(z + z') of 300-475 need 1,100-1,760
         panels each alone and about 2,150 together. Each converges alone
-        within max_panels = 1,900, and so does the batch, within the
+        within a budget of 1,900 panels, and so does the batch, within the
         tolerance of the lone runs."""
+        from mqret import quadrature
+
+        monkeypatch.setattr(quadrature, "_MAX_PANELS", 1900)
         rng = np.random.default_rng(7)
         n = 4
         big_z = rng.uniform(0.004, 0.01, n)
@@ -481,11 +485,10 @@ class TestBatchedSommerfeld:
                       big_z / 2], axis=1) * LAM
         rp = np.stack([np.zeros(n), np.zeros(n), big_z / 2], axis=1) * LAM
         mat = media.Constant(2.25)
-        g, err = greens.halfspace_scatter_full(r, rp, OMEGA, mat,
-                                               max_panels=1900)
+        g, err = greens.halfspace_scatter_full(r, rp, OMEGA, mat)
         for k in range(n):
             ref, ref_err = greens.halfspace_scatter_full(r[k], rp[k], OMEGA,
-                                                         mat, max_panels=1900)
+                                                         mat)
             dev = np.abs(g[k] - ref).max() / np.abs(ref).max()
             assert err[k] <= 1e-9 and dev <= err[k] + ref_err
 

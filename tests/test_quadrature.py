@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad_vec
 
+from mqret import quadrature
 from mqret.core import QuadratureError
 from mqret.quadrature import RULES, _panels, adaptive_quad_vec
 
@@ -111,10 +112,11 @@ def test_rejects_empty_interval():
         adaptive_quad_vec(by_nodes(np.cos), (0.0, 1.0), (1.0, 0.5))
 
 
-def test_budget_exhaustion():
+def test_budget_exhaustion(monkeypatch):
+    monkeypatch.setattr(quadrature, "_MAX_PANELS", 8)
     f, sizes = recording(by_nodes(lambda x: np.sin(1e7 * x) + 0j))
     with pytest.raises(QuadratureError) as info:
-        adaptive_quad_vec(f, 0.0, 1.0, rtol=1e-12, max_panels=8)
+        adaptive_quad_vec(f, 0.0, 1.0, rtol=1e-12)
     assert info.value.estimate is not None and info.value.estimate > 0.0
     # each call after the first bisects n/42 panels, adding one panel each
     live = np.cumsum([1] + [n // 42 for n in sizes[1:]])
@@ -254,10 +256,11 @@ def test_absolute_tolerance_per_integral():
     assert abs(total[1, 0] - exact) <= 1e-10 * abs(exact)
 
 
-def test_shared_budget_grows_with_the_batch():
-    """Two integrals that each converge within max_panels alone also
-    converge together, although the union of their panels (peaks at -0.5
-    and 0.5 need 27 panels each, 52 together) exceeds max_panels."""
+def test_shared_budget_grows_with_the_batch(monkeypatch):
+    """Two integrals that each converge within a budget of 30 panels
+    alone also converge together, although the union of their panels
+    (peaks at -0.5 and 0.5 need 27 panels each, 52 together) exceeds it."""
+    monkeypatch.setattr(quadrature, "_MAX_PANELS", 30)
     w = 1e-4
 
     def peaks(centres):
@@ -266,9 +269,9 @@ def test_shared_budget_grows_with_the_batch():
 
     exact = np.arctan(0.5 / w) + np.arctan(1.5 / w)
     for c in (-0.5, 0.5):
-        total, _ = adaptive_quad_vec(peaks([c]), -1.0, 1.0, max_panels=30)
+        total, _ = adaptive_quad_vec(peaks([c]), -1.0, 1.0)
         assert total[0, 0] == pytest.approx(exact, rel=1e-8)
-    total, _ = adaptive_quad_vec(peaks([-0.5, 0.5]), -1.0, 1.0, max_panels=30)
+    total, _ = adaptive_quad_vec(peaks([-0.5, 0.5]), -1.0, 1.0)
     assert np.all(np.abs(total[:, 0] - exact) <= 1e-8 * exact)
 
 

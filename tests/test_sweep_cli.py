@@ -178,6 +178,11 @@ class TestConfig:
          "permittivity omega_0"),
         (halfspace(type="drude_lorentz", omega_p=5e15, omega_0=0.0,
                    gamma=float("nan")), "permittivity gamma"),
+        # JSON integers have no size limit; this one overflows a float
+        ({"lambda_d_m": 10**400}, "lambda_d_m must be a number"),
+        # omega_p**2 overflows
+        (halfspace(type="drude_lorentz", omega_p=1e200, omega_0=0.0),
+         "omega_p, omega_0 and gamma"),
     ])
     def test_non_finite_scalar(self, tmp_path, overrides, match):
         p = write_config(tmp_path, overrides)
@@ -191,8 +196,12 @@ class TestConfig:
         ({"lambda_d_m": "1e-6x"}, "lambda_d_m must be a number"),
         ({"donor": {"z": "a"}}, "donor z must be a number"),
         ({"quad_rtol": True}, "quad_rtol must be a number"),
+        ({"lambda_d_m": "1e-6"}, "lambda_d_m must be a number"),
+        ({"donor": {"z": "0.04"}}, "donor z must be a number"),
+        ({"quad_rtol": "1e-9"}, "quad_rtol must be a number"),
     ], ids=["top-level-string", "donor-number", "mediator-number",
-            "lambda-text", "donor-z-text", "rtol-boolean"])
+            "lambda-text", "donor-z-text", "rtol-boolean", "lambda-numeral",
+            "donor-z-numeral", "rtol-numeral"])
     def test_wrong_json_type_names_the_field(self, tmp_path, doc, match):
         """A value of the wrong JSON type is a ConfigError that names its
         block or field, not a bare TypeError or ValueError from inside the
@@ -204,6 +213,36 @@ class TestConfig:
             p.write_text(doc)
         with pytest.raises(config.ConfigError, match=match):
             config.load_config(str(p))
+
+    def test_complex_permittivity_from_a_string(self, tmp_path):
+        """JSON has no complex numbers: a lossy constant permittivity is
+        the one value that may be written as a string."""
+        cfg = config.load_config(write_config(
+            tmp_path, halfspace(type="constant", value="2.25+0.1j")))
+        assert cfg.environment.material == Constant(complex(2.25, 0.1))
+
+    @pytest.mark.parametrize("gamma", [{"gamma": 0.0}, {}],
+                             ids=["gamma-zero", "gamma-default"])
+    def test_lossless_resonance_is_rejected_at_load(self, tmp_path, gamma):
+        """A lossless Drude-Lorentz metal at its own resonance has an
+        infinite permittivity: a ConfigError that names omega_0 and gamma,
+        at load, not a ZeroDivisionError that aborts a sweep. With loss the
+        same resonance loads."""
+        omega = 2.0e15
+        resonant = {"omega_d": omega, **halfspace(
+            type="drude_lorentz", omega_p=5e15, omega_0=omega, **gamma)}
+        p = write_config(tmp_path, resonant)
+        with pytest.raises(config.ConfigError, match="omega_0 and gamma"):
+            config.load_config(p)
+        out = tmp_path / "sweep.csv"
+        for argv in (["rate", "--config", p],
+                     ["sweep-z", "--config", p, "--zmin", "1.5", "--zmax",
+                      "2.5", "--steps", "3", "--out", str(out)]):
+            assert cli.main(argv) == 1
+        assert not out.exists()
+        lossy = halfspace(type="drude_lorentz", omega_p=5e15, omega_0=omega,
+                          gamma=1e13)
+        config.load_config(write_config(tmp_path, {**resonant, **lossy}))
 
 
 class TestSweep:
